@@ -7,12 +7,21 @@ sign of the moment factor is convention-dependent, magnitudes are not.
 Everything here is plain trapezoid quadrature on a uniform grid.  For smooth
 functions vanishing at the support endpoints the rule converges faster than
 any power of the step; the documented O(step^2) rate is the floor attained by
-merely piecewise-smooth inputs.  ``ft_grid`` is an FFT-based accelerator for
-dense frequency sweeps and reproduces ``ft_at`` values to roundoff.
+merely piecewise-smooth inputs.
+
+``ft_at`` evaluates the n-point trapezoid sum at arbitrary xi (scalar,
+uniform or not) through one factorisation: with B = ceil(sqrt(n)) and
+A = ceil(n / B), the sum splits into A coarse phases times B fine ones, so
+each xi costs A + B complex exponentials instead of n, each block of 1024 xi
+one complex GEMM, and no phase block is larger than 1024 x ceil(sqrt(n)).
+It is the same trapezoid sum as the direct n-term phase matrix and agrees
+with it to roundoff.  ``ft_grid`` is an FFT-based accelerator for dense
+uniform frequency sweeps and reproduces ``ft_at`` values to roundoff.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +34,8 @@ DEFAULT_GRID = 1 << 16
 # relative endpoint magnitude above which a function no longer counts as
 # compactly supported inside its window
 _ENDPOINT_REL_TOL = 1e-6
+# frequencies per ft_at block: the largest phase block is _XI_BLOCK x ceil(sqrt(n))
+_XI_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -100,16 +111,36 @@ def _moment_samples(f: SampledFunction, m: int) -> np.ndarray:
 
 
 def ft_at(f: SampledFunction, xi, m: int = 0):
-    """F f^(m)(xi) by trapezoid quadrature.  xi may be a scalar or an array."""
+    """F f^(m)(xi) by trapezoid quadrature.  xi may be a scalar or an array.
+
+    The trapezoid sum over the n grid points x_k = x0 + k h is factored by
+    writing k = a B + b with B = ceil(sqrt(n)) and A = ceil(n / B):
+
+        sum_k g_k w_k e^{-2 pi i xi x_k}
+            = sum_a e^{-2 pi i xi (x0 + a B h)} sum_b G[a, b] e^{-2 pi i xi b h},
+
+    where G is g w zero-padded to an A x B array.  Each block of up to
+    _XI_BLOCK frequencies costs one complex GEMM (block x B) @ (B x A) and
+    A + B exponentials per xi instead of n, and no phase block is larger
+    than _XI_BLOCK x B.  The sum is the same one the direct n-term phase
+    matrix computes; only the rounding of the phases differs.
+    """
     g = _moment_samples(f, m) * f.weights
-    x = f.grid
+    n = len(g)
+    B = math.isqrt(n - 1) + 1
+    A = -(-n // B)
+    G = np.zeros(A * B, dtype=complex)
+    G[:n] = g
+    Gt = G.reshape(A, B).T
+    fine = f.step * np.arange(B)
+    coarse = f.support[0] + (B * f.step) * np.arange(A)
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     out = np.empty(xi_arr.shape, dtype=complex)
-    # keep the phase matrix under ~64 MB
-    chunk = max(1, (1 << 22) // max(1, len(x)))
-    for s in range(0, len(xi_arr), chunk):
-        block = xi_arr[s : s + chunk]
-        out[s : s + chunk] = np.exp(-2j * np.pi * np.outer(block, x)) @ g
+    for s in range(0, len(xi_arr), _XI_BLOCK):
+        block = xi_arr[s : s + _XI_BLOCK]
+        inner = np.exp(-2j * np.pi * np.outer(block, fine)) @ Gt
+        outer = np.exp(-2j * np.pi * np.outer(block, coarse))
+        out[s : s + _XI_BLOCK] = np.einsum("ij,ij->i", outer, inner)
     if np.ndim(xi) == 0:
         return complex(out[0])
     return out

@@ -105,16 +105,24 @@ def whitney_decompose(D: float) -> WhitneyDecomposition:
 
 @dataclass(frozen=True)
 class AdmissibleSet:
-    """Index pairs (j, k): piece j in J', integer k in [0, delta_j - C log^(1+eps) D)."""
+    """Index pairs (j, k): piece j in J', integer k in [0, delta_j - C log^(1+eps) D).
+
+    Stored as one (j, count) pair per piece in J'; the (j, k) pairs are built
+    only when ``entries`` is read.
+    """
 
     D: float
     C: float
     eps: float
-    entries: tuple[tuple[int, int], ...]
+    counts: tuple[tuple[int, int], ...]
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return sum(c for _, c in self.counts)
+
+    @property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        return tuple((j, k) for j, c in self.counts for k in range(c))
 
     def deficit_constant(self) -> float:
         """Reported constant C' = (D - |S|) / log^(2+eps)(D), not assumed."""
@@ -133,8 +141,7 @@ def admissible_set(w: WhitneyDecomposition, C: float, eps: float) -> AdmissibleS
     if C <= 0 or eps <= 0:
         raise DomainError("C and eps must be positive")
     threshold = C * math.log(w.D) ** (1.0 + eps)
-    entries = []
-    for j in w.large_indices:
-        for k in range(admissible_count(w.pieces[j][1], threshold)):
-            entries.append((j, k))
-    return AdmissibleSet(D=w.D, C=C, eps=eps, entries=tuple(entries))
+    counts = tuple(
+        (j, admissible_count(w.pieces[j][1], threshold)) for j in w.large_indices
+    )
+    return AdmissibleSet(D=w.D, C=C, eps=eps, counts=counts)

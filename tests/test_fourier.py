@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfloc.errors import InputError, UnsupportedOrderError
-from tfloc.fourier import (SampledFunction, ft_at, ft_grid, l2_norm, sup_norm)
+from tfloc.fourier import (MAX_FT_DERIVATIVE, SampledFunction, ft_at, ft_grid, l2_norm,
+                           sup_norm)
 
 GAUSS_TOL = 1e-6
 
@@ -83,6 +84,52 @@ def test_linearity(a, b, xi):
     lhs = ft_at(combo, xi)
     rhs = a * ft_at(f, xi) + b * ft_at(g, xi)
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(a) + abs(b))
+
+
+def _direct_ft(f, xi, m):
+    """The trapezoid sum as an explicit n-term phase matrix, and its scale."""
+    gw = f.samples * (-2j * np.pi * f.grid) ** m * f.weights
+    phase = np.exp(-2j * np.pi * np.outer(np.atleast_1d(xi), f.grid))
+    return phase @ gw, float(np.sum(np.abs(gw)))
+
+
+def _random_on_32(n):
+    # random complex samples on [-16, 16]; the endpoint samples sit just under
+    # the 1e-6 edge tolerance, so a kernel that drops either one is caught
+    rng = np.random.default_rng(n)
+    s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    s[0] = s[-1] = 9e-7 * np.max(np.abs(s))
+    return SampledFunction((-16.0, 16.0), 32.0 / (n - 1), s)
+
+
+# |xi x| reaches 1600 turns, so either sum carries ~1e-12 rad of phase
+# rounding per term; 1e-12 of the absolute sum bounds their difference
+KERNEL_REL_TOL = 1e-12
+
+
+@pytest.mark.parametrize("n", [9, 1025, 4097, 65537])
+def test_ft_at_matches_direct_sum(n):
+    # n is never a multiple of ceil(sqrt(n)), so the last block row is padded
+    f = _random_on_32(n)
+    xi = np.array([-100.0, -99.99, -57.3, -1.0 / 3.0, 0.0, 0.37, 7.25, 63.1, 100.0])
+    for m in range(MAX_FT_DERIVATIVE + 1):
+        want, scale = _direct_ft(f, xi, m)
+        got = ft_at(f, xi, m=m)
+        assert got.shape == xi.shape
+        assert np.max(np.abs(got - want)) <= KERNEL_REL_TOL * scale
+        for i in (0, 2, 8):
+            one = ft_at(f, float(xi[i]), m=m)
+            assert isinstance(one, complex)
+            assert abs(one - want[i]) <= KERNEL_REL_TOL * scale
+
+
+def test_ft_at_spans_frequency_blocks():
+    # more frequencies than one block, in descending order
+    f = _random_on_32(1025)
+    xi = np.linspace(100.0, -100.0, 2100)
+    for m in (0, 3):
+        want, scale = _direct_ft(f, xi, m)
+        assert np.max(np.abs(ft_at(f, xi, m=m) - want)) <= KERNEL_REL_TOL * scale
 
 
 def test_ft_grid_matches_ft_at():

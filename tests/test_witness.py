@@ -131,14 +131,17 @@ def test_null_vector_falls_back_to_canonical_probes():
 _THREAD_PROBE = """
 import json
 from tfloc.schemes import rv_scheme
-from tfloc.witness import WitnessProblem, solve_witness, thin_scheme
+from tfloc.witness import WitnessProblem, solve_witness, tail_certificate, thin_scheme
 thinned = thin_scheme(rv_scheme(12), 0.2, 3.0, 3.0, seed=20260)
 out = {}
 for parity, C in (("none", 0.22), ("even", 0.10)):
     r = solve_witness(WitnessProblem(thinned, 3.0, 3.0, C, 0.1, parity))
+    tail = tail_certificate(r)
     out[parity] = {"null_dim": r.null_dim, "residual": r.residual, "l2": r.l2,
                    "sup_x": r.sup_x, "sup_value": r.sup_value,
-                   "coefficients": r.coefficients.tolist()}
+                   "coefficients": r.coefficients.tolist(),
+                   "tail_max": [v for _, v in tail.max_by_order],
+                   "tail_weighted_sum": tail.weighted_sum}
 print(json.dumps(out))
 """
 
@@ -162,6 +165,9 @@ def test_witness_independent_of_blas_threads():
         for key in ("l2", "sup_x", "sup_value"):
             assert a[key] == pytest.approx(b[key], abs=1e-12, rel=0)
         assert np.max(np.abs(np.subtract(a["coefficients"], b["coefficients"]))) < 1e-12
+        # the tail rows go through a threaded zgemm in ft_at
+        assert a["tail_max"] == pytest.approx(b["tail_max"], rel=1e-12, abs=0)
+        assert a["tail_weighted_sum"] == pytest.approx(b["tail_weighted_sum"], rel=1e-12, abs=0)
 
 
 def test_witness_confined_to_support(thin_none, thin_even):
