@@ -4,13 +4,12 @@ Dyadic decompositions, smooth local cosine bases with subexponential
 transform decay, localization-operator spectra, interpolation-node counting
 audits, and annihilating witness construction.
 
-Submodules are imported lazily so that `import tfloc` stays cheap and the
-CLI can cap BLAS threads before numpy first loads.
+Import the submodules by name (`from tfloc import witness`, `from
+tfloc.lcbasis import atom_matrix`).  `import tfloc` itself loads no numpy, so
+the CLI can cap BLAS threads before numpy first loads.
 """
 
 from __future__ import annotations
-
-import importlib
 
 from .errors import (
     DecayViolationError,
@@ -26,92 +25,3 @@ from .errors import (
 )
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "cli",
-    "errors",
-    "fitting",
-    "fourier",
-    "lcbasis",
-    "localization",
-    "schemes",
-    "whitney",
-    "windows",
-    "witness",
-)
-
-_LAZY_ATTRS = {
-    "whitney_decompose": "whitney",
-    "admissible_set": "whitney",
-    "WhitneyDecomposition": "whitney",
-    "AdmissibleSet": "whitney",
-    "GevreyProfile": "windows",
-    "BellWindow": "windows",
-    "build_bells": "windows",
-    "SampledFunction": "fourier",
-    "ft_at": "fourier",
-    "ft_grid": "fourier",
-    "l2_norm": "fourier",
-    "sup_norm": "fourier",
-    "DecayFit": "fitting",
-    "fit_decay": "fitting",
-    "envelope_points": "fitting",
-    "LocalCosineAtom": "lcbasis",
-    "LocalCosineBasis": "lcbasis",
-    "build_basis": "lcbasis",
-    "gram_check": "lcbasis",
-    "concentration_check": "lcbasis",
-    "derivative_bound_check": "lcbasis",
-    "lk_ratio_check": "lcbasis",
-    "LocalizationSpectrum": "localization",
-    "localization_spectrum": "localization",
-    "min_grid_size": "localization",
-    "plunge_width": "localization",
-    "Node": "schemes",
-    "InterpolationScheme": "schemes",
-    "rv_scheme": "schemes",
-    "zeta_scheme": "schemes",
-    "counting_function": "schemes",
-    "audit_bound": "schemes",
-    "riemann_von_mangoldt_check": "schemes",
-    "parse_zeros_file": "schemes",
-    "bundled_zeros": "schemes",
-    "WitnessProblem": "witness",
-    "WitnessResult": "witness",
-    "assemble_constraints": "witness",
-    "solve_witness": "witness",
-    "tail_certificate": "witness",
-    "thin_scheme": "witness",
-    "symmetrize": "witness",
-}
-
-__all__ = sorted(
-    {
-        "DecayViolationError",
-        "DegenerateInputError",
-        "DomainError",
-        "ExtentError",
-        "InputError",
-        "PropertyViolation",
-        "ResolutionError",
-        "TflocError",
-        "TflocInputError",
-        "UnsupportedOrderError",
-        "__version__",
-        *_SUBMODULES,
-        *_LAZY_ATTRS,
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    target = _LAZY_ATTRS.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{target}", __name__), name)
-
-
-def __dir__():
-    return __all__

@@ -93,10 +93,15 @@ class SampledFunction:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        w = np.full(len(self.samples), self.step)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return trapezoid_weights(len(self.samples), self.step)
+
+
+def trapezoid_weights(n: int, step: float) -> np.ndarray:
+    """Weights of the n-point trapezoid rule with spacing step."""
+    w = np.full(n, step)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
 
 def _moment_samples(f: SampledFunction, m: int) -> np.ndarray:

@@ -34,8 +34,8 @@ from .fitting import (
     envelope_points,
     fit_decay,
 )
-from .fourier import DEFAULT_GRID, SampledFunction, ft_at, ft_grid
-from .whitney import WhitneyDecomposition, admissible_set
+from .fourier import DEFAULT_GRID, SampledFunction, ft_at, ft_grid, trapezoid_weights
+from .whitney import WhitneyDecomposition
 from .windows import BellWindow, build_bells
 
 MAX_ATOM_DERIVATIVE = 2
@@ -70,36 +70,54 @@ class LocalCosineAtom:
         return math.sqrt(2.0 / self.delta)
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        phase = 2.0 * np.pi * self.xi * (x - self.alpha)
-        return self.norm_factor * self.bell.value(x) * np.cos(phase)
+        return atom_matrix([self], x)[..., 0]
 
     def derivative(self, x, order: int = 1):
-        if order == 0:
-            return self.value(x)
-        if not 1 <= order <= MAX_ATOM_DERIVATIVE:
-            raise UnsupportedOrderError(
-                f"atom derivatives implemented up to order {MAX_ATOM_DERIVATIVE}"
-            )
-        x = np.asarray(x, dtype=float)
-        omega = 2.0 * np.pi * self.xi
-        phase = omega * (x - self.alpha)
-        c, s = np.cos(phase), np.sin(phase)
-        b0 = self.bell.value(x)
-        b1 = self.bell.derivative(x, 1)
-        if order == 1:
-            return self.norm_factor * (b1 * c - omega * b0 * s)
-        b2 = self.bell.derivative(x, 2)
-        return self.norm_factor * (
-            b2 * c - 2.0 * omega * b1 * s - omega * omega * b0 * c
-        )
+        return atom_matrix([self], x, order)[..., 0]
 
     def to_sampled(self, n: int = DEFAULT_GRID) -> SampledFunction:
         return SampledFunction.from_callable(self.value, self.domain, n=n)
 
 
-def atom_value(atom: LocalCosineAtom, x):
-    return atom.value(x)
+def atom_matrix(atoms, x, order: int = 0) -> np.ndarray:
+    """Derivative of order `order` of every atom at x, shape (len(x), len(atoms)).
+
+    A scalar x gives shape (len(atoms),).  This is the one atom evaluator:
+    each distinct bell's jet is computed once, on the points of x inside its
+    support, and is zero elsewhere.  The cosine factor runs over all of x, so
+    an entry outside the support is nf * 0.0 * cos, a zero with the sign of
+    the cosine, exactly as if the bell had been evaluated there.
+    """
+    if not 0 <= order <= MAX_ATOM_DERIVATIVE:
+        raise UnsupportedOrderError(
+            f"atom derivatives implemented up to order {MAX_ATOM_DERIVATIVE}"
+        )
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    out = np.empty((len(flat), len(atoms)))
+    by_bell: dict[BellWindow, list[int]] = {}
+    for i, a in enumerate(atoms):
+        by_bell.setdefault(a.bell, []).append(i)
+    for bell, cols in by_bell.items():
+        lo, hi = bell.support
+        inside = (flat >= lo) & (flat <= hi)
+        b = [np.zeros_like(flat) for _ in range(order + 1)]
+        for full, part in zip(b, bell.jet(flat[inside], order)):
+            full[inside] = part
+        for i in cols:
+            a = atoms[i]
+            omega = 2.0 * np.pi * a.xi
+            phase = omega * (flat - a.alpha)
+            c = np.cos(phase)
+            if order == 0:
+                out[:, i] = a.norm_factor * b[0] * c
+            elif order == 1:
+                out[:, i] = a.norm_factor * (b[1] * c - omega * b[0] * np.sin(phase))
+            else:
+                out[:, i] = a.norm_factor * (
+                    b[2] * c - 2.0 * omega * b[1] * np.sin(phase) - omega * omega * b[0] * c
+                )
+    return out.reshape(x.shape + (len(atoms),))
 
 
 @dataclass(frozen=True)
@@ -114,10 +132,6 @@ class LocalCosineBasis:
 
     def atoms_for(self, entries) -> list[LocalCosineAtom]:
         return [self.atom(j, k) for j, k in entries]
-
-    def admissible_atoms(self, C: float, eps: float) -> list[LocalCosineAtom]:
-        S = admissible_set(self.decomposition, C, eps)
-        return self.atoms_for(S.entries)
 
     def first_atoms(self, count: int) -> list[LocalCosineAtom]:
         """First `count` atoms in the canonical enumeration.
@@ -147,17 +161,12 @@ def gram_check(atoms: list[LocalCosineAtom], n: int = DEFAULT_GRID) -> float:
     if not atoms:
         raise DegenerateInputError("gram_check needs at least one atom")
     domain = atoms[0].domain
+    if any(a.domain != domain for a in atoms):
+        raise DomainError("all atoms must share one decomposition domain")
     x = np.linspace(domain[0], domain[1], n + 1)
-    w = np.full(n + 1, (domain[1] - domain[0]) / n)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    rows = np.empty((len(atoms), n + 1))
-    sq = np.sqrt(w)
-    for i, a in enumerate(atoms):
-        if a.domain != domain:
-            raise DomainError("all atoms must share one decomposition domain")
-        rows[i] = a.value(x) * sq
-    gram = rows @ rows.T
+    w = trapezoid_weights(n + 1, (domain[1] - domain[0]) / n)
+    cols = atom_matrix(atoms, x) * np.sqrt(w)[:, None]
+    gram = cols.T @ cols
     return float(np.max(np.abs(gram - np.eye(len(atoms)))))
 
 

@@ -105,7 +105,3 @@ def localization_spectrum(W: float, T: float, N: int | None = None) -> Localizat
     spec = LocalizationSpectrum(W=W, T=T, N=N, eigenvalues=ev)
     spec.validate()
     return spec
-
-
-def plunge_width(spec: LocalizationSpectrum) -> int:
-    return spec.count_plunge

@@ -80,27 +80,28 @@ class GevreyProfile:
             d2v[live] = -qpp * w - qp * dvl * (1.0 - 2.0 * vl)
         return v, dv, d2v
 
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        v, _, _ = self._transition((t + 1.0) * 0.5)
-        return np.sin(0.5 * np.pi * v)
-
-    def derivative(self, t, order: int = 1):
-        if order == 0:
-            return self.value(t)
-        if not 1 <= order <= MAX_BELL_DERIVATIVE:
+    def jet(self, t, order: int = 0) -> list:
+        """[rho, rho', rho''] at t up to `order`, from one _transition pass."""
+        if not 0 <= order <= MAX_BELL_DERIVATIVE:
             raise UnsupportedOrderError(
                 f"profile derivatives implemented up to order {MAX_BELL_DERIVATIVE}"
             )
         t = np.asarray(t, dtype=float)
         v, dv, d2v = self._transition((t + 1.0) * 0.5)
         half_pi_v = 0.5 * np.pi * v
-        if order == 1:
-            return 0.25 * np.pi * np.cos(half_pi_v) * dv
-        return 0.125 * np.pi * (
-            np.cos(half_pi_v) * d2v
-            - 0.5 * np.pi * np.sin(half_pi_v) * dv * dv
-        )
+        out = [np.sin(half_pi_v)]
+        if order >= 1:
+            cos = np.cos(half_pi_v)
+            out.append(0.25 * np.pi * cos * dv)
+        if order == 2:
+            out.append(0.125 * np.pi * (cos * d2v - 0.5 * np.pi * out[0] * dv * dv))
+        return out
+
+    def value(self, t):
+        return self.jet(t)[0]
+
+    def derivative(self, t, order: int = 1):
+        return self.jet(t, order)[order]
 
 
 @dataclass(frozen=True)
@@ -135,35 +136,27 @@ class BellWindow:
     def cosine_interval(self) -> tuple[float, float]:
         return (self.left_center, self.right_center)
 
-    def value(self, x):
+    def jet(self, x, order: int = 0) -> list:
+        """[b, b', b''] at x up to `order`: one profile jet per junction."""
         x = np.asarray(x, dtype=float)
-        rise = self.profile.value((x - self.left_center) / self.left_radius)
-        fall = self.profile.value((self.right_center - x) / self.right_radius)
-        return rise * fall
+        rise = self.profile.jet((x - self.left_center) / self.left_radius, order)
+        fall = self.profile.jet((self.right_center - x) / self.right_radius, order)
+        out = [rise[0] * fall[0]]
+        if order >= 1:
+            d_rise = rise[1] / self.left_radius
+            d_fall = -fall[1] / self.right_radius
+            out.append(d_rise * fall[0] + rise[0] * d_fall)
+        if order == 2:
+            dd_rise = rise[2] / self.left_radius**2
+            dd_fall = fall[2] / self.right_radius**2
+            out.append(dd_rise * fall[0] + 2.0 * d_rise * d_fall + rise[0] * dd_fall)
+        return out
+
+    def value(self, x):
+        return self.jet(x)[0]
 
     def derivative(self, x, order: int = 1):
-        if order == 0:
-            return self.value(x)
-        if not 1 <= order <= MAX_BELL_DERIVATIVE:
-            raise UnsupportedOrderError(
-                f"bell derivatives implemented up to order {MAX_BELL_DERIVATIVE}"
-            )
-        x = np.asarray(x, dtype=float)
-        tl = (x - self.left_center) / self.left_radius
-        tr = (self.right_center - x) / self.right_radius
-        rise = self.profile.value(tl)
-        fall = self.profile.value(tr)
-        d_rise = self.profile.derivative(tl, 1) / self.left_radius
-        d_fall = -self.profile.derivative(tr, 1) / self.right_radius
-        if order == 1:
-            return d_rise * fall + rise * d_fall
-        dd_rise = self.profile.derivative(tl, 2) / self.left_radius**2
-        dd_fall = self.profile.derivative(tr, 2) / self.right_radius**2
-        return dd_rise * fall + 2.0 * d_rise * d_fall + rise * dd_fall
-
-
-def bell_value(bell: BellWindow, x):
-    return bell.value(x)
+        return self.jet(x, order)[order]
 
 
 def build_bells(w: WhitneyDecomposition, eta: float) -> list[BellWindow]:

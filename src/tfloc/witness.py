@@ -41,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .fourier import DEFAULT_GRID, MAX_FT_DERIVATIVE, SampledFunction, ft_at, l2_norm, sup_norm
-from .lcbasis import LocalCosineAtom, LocalCosineBasis, build_basis
+from .fourier import (DEFAULT_GRID, MAX_FT_DERIVATIVE, SampledFunction, ft_at, l2_norm,
+                      sup_norm, trapezoid_weights)
+from .lcbasis import LocalCosineAtom, atom_matrix, build_basis
 from .schemes import InterpolationScheme, counting_function
 from .whitney import admissible_set, whitney_decompose
 
@@ -85,43 +86,32 @@ class WitnessProblem:
             + counting_function(self.scheme.m_nodes, self.R2)
         )
 
-    def basis(self) -> LocalCosineBasis:
-        return build_basis(whitney_decompose(self.D), self.eta)
-
     def atoms(self) -> list[LocalCosineAtom]:
         w = whitney_decompose(self.D)
         S = admissible_set(w, self.C, self.eps)
         return build_basis(w, self.eta).atoms_for(S.entries)
 
 
-def _atom_columns(p: WitnessProblem, atoms, x: np.ndarray) -> np.ndarray:
-    """Values of each scaled (and parity-extended) atom on the x grid."""
+def _columns(p: WitnessProblem, atoms, x, order: int = 0) -> np.ndarray:
+    """Order-`order` derivatives of each scaled, parity-extended atom at x.
+
+    Shape (len(x), len(atoms)), or (len(atoms),) for a scalar x.  The chain
+    rule gives the factor (2 R2)^order; under parity, f(x) = +-f(-x) makes
+    the sign (-1)^order for x < 0, negated again under odd parity, and an odd
+    f has every even-order derivative zero at 0.
+    """
+    x = np.asarray(x, dtype=float)
     if p.parity == "none":
-        t = 2.0 * p.R2 * x
-        sign = np.ones_like(x)
+        t, sign = 2.0 * p.R2 * x, np.ones_like(x)
     else:
         t = p.R2 * (2.0 * np.abs(x) - p.R1)
-        sign = np.where(x < 0, -1.0, 1.0) if p.parity == "odd" else np.ones_like(x)
-    return np.column_stack([sign * a.value(t) for a in atoms])
-
-
-def _lambda_row(p: WitnessProblem, atoms, point: float, order: int) -> np.ndarray:
-    chain = (2.0 * p.R2) ** order
-    if p.parity == "none":
-        t = 2.0 * p.R2 * point
-        sgn = 1.0
-    else:
-        t = p.R2 * (2.0 * abs(point) - p.R1)
-        sgn = 1.0
-        if point < 0:
-            sgn = (-1.0) ** order
-            if p.parity == "odd":
-                sgn = -sgn
-        elif point == 0.0 and p.parity == "odd":
-            # f is odd: the value row at 0 is identically zero
-            if order % 2 == 0:
-                return np.zeros(len(atoms))
-    return sgn * chain * np.array([a.derivative(t, order) if order else a.value(t) for a in atoms])
+        flip = -1.0 if p.parity == "odd" else 1.0
+        sign = np.where(x < 0, flip * (-1.0) ** order, 1.0)
+    cols = atom_matrix(atoms, t, order)
+    cols *= (sign * (2.0 * p.R2) ** order)[..., None]
+    if p.parity == "odd" and order % 2 == 0:
+        cols[x == 0.0] = 0.0
+    return cols
 
 
 def assemble_constraints(
@@ -134,15 +124,13 @@ def assemble_constraints(
     if len(atoms) == 0:
         raise DegenerateInputError("assemble_constraints needs a nonempty atom set")
     x = np.linspace(-p.R1, p.R1, n + 1)
-    w = np.full(n + 1, 2.0 * p.R1 / n)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    cols = _atom_columns(p, atoms, x)
+    w = trapezoid_weights(n + 1, 2.0 * p.R1 / n)
+    cols = _columns(p, atoms, x)
     rows, labels = [], []
     for nd in p.scheme.lambda_nodes:
         if abs(nd.point) > p.R1:
             continue
-        rows.append(_lambda_row(p, atoms, nd.point, nd.order))
+        rows.append(_columns(p, atoms, nd.point, nd.order))
         labels.append(("lambda", nd.point, nd.order, "re"))
     for nd in p.scheme.m_nodes:
         if abs(nd.point) > p.R2:
@@ -216,9 +204,7 @@ def solve_witness(p: WitnessProblem, n: int = DEFAULT_GRID) -> WitnessResult:
     vector of the smallest singular value, the least-residual unit vector.
     The sign makes the leading entry above 1e-14 positive.
     """
-    w = whitney_decompose(p.D)
-    S = admissible_set(w, p.C, p.eps)
-    atoms = build_basis(w, p.eta).atoms_for(S.entries)
+    atoms = p.atoms()
     A, _ = assemble_constraints(p, atoms, n=n)
     m = len(atoms)
     if A.shape[0] == 0:
@@ -237,13 +223,13 @@ def solve_witness(p: WitnessProblem, n: int = DEFAULT_GRID) -> WitnessResult:
             coeffs = -coeffs
     residual = float(np.max(np.abs(A @ coeffs))) if A.shape[0] else 0.0
     x = np.linspace(-p.R1, p.R1, n + 1)
-    vals = _atom_columns(p, atoms, x) @ coeffs
+    vals = _columns(p, atoms, x) @ coeffs
     symmetry = p.parity if p.parity != "none" else "none"
     f = SampledFunction((-p.R1, p.R1), 2.0 * p.R1 / n, vals, symmetry=symmetry)
     sup_x, sup_val = sup_norm(f)
     return WitnessResult(
         problem=p,
-        entries=S.entries,
+        entries=tuple((a.j, a.k) for a in atoms),
         coefficients=coeffs,
         null_dim=null_dim,
         residual=residual,
@@ -295,24 +281,8 @@ def outside_support_max(res: WitnessResult, n: int = 4096) -> float:
     p = res.problem
     x = np.linspace(p.R1, 2.0 * p.R1, n + 1)[1:]
     both = np.concatenate([-x, x])
-    atoms = p.atoms()
-    vals = _atom_columns(p, atoms, both) @ res.coefficients
+    vals = _columns(p, p.atoms(), both) @ res.coefficients
     return float(np.max(np.abs(vals)))
-
-
-def symmetrize(p: WitnessProblem, atoms):
-    """Parity-extended scaled atoms as a column evaluator x -> values matrix.
-
-    Atoms are mapped onto (0, R1] by x -> R2 (2x - R1) and reflected with the
-    parity sign; the assembly and the sampled witness both go through this.
-    """
-    if p.parity not in ("even", "odd"):
-        raise DomainError("symmetrize needs parity 'even' or 'odd'")
-
-    def columns(x):
-        return _atom_columns(p, atoms, np.asarray(x, dtype=float))
-
-    return columns
 
 
 def thin_scheme(

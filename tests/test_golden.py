@@ -1,0 +1,45 @@
+"""Golden CLI reports: README commands must print byte-identical reports.
+
+Each file in tests/golden/ is the stdout of `python -m tfloc.cli ARGS
+--threads 1` for the ARGS listed below.  One BLAS thread, because the
+witness `residual` field is rounding noise that changes with the thread
+count.  A change that moves any byte must say why and regenerate the file
+with that same command.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tfloc
+
+GOLDEN = Path(__file__).parent / "golden"
+WITNESS = ["witness", "--scheme", "rv", "--R1", "3", "--R2", "3", "--eps", "0.1",
+           "--thin", "0.2", "--seed", "20260", "--json"]
+CASES = {
+    "bells.csv": ["bells", "--D", "8", "--eta", "0.25", "--samples", "64"],
+    "basis_check.csv": ["basis", "check", "--D", "32", "--eta", "0.3",
+                        "--count", "50", "--tol", "1e-6"],
+    "decay_fit.csv": ["decay", "fit", "--D", "32", "--eta", "0.3", "--j", "5", "--k", "0"],
+    "witness_none.json": WITNESS + ["--C", "0.22"],
+    "witness_even.json": WITNESS + ["--C", "0.10", "--parity", "even"],
+}
+
+
+def _report(argv) -> bytes:
+    env = dict(os.environ)
+    src = str(Path(tfloc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "tfloc.cli", *argv, "--threads", "1"],
+                          env=env, capture_output=True, check=True)
+    return done.stdout
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    assert _report(CASES[name]) == (GOLDEN / name).read_bytes()

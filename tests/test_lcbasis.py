@@ -5,9 +5,9 @@ import pytest
 
 from tfloc.errors import DomainError
 from tfloc.fourier import SampledFunction, ft_at, ft_grid, l2_norm
-from tfloc.lcbasis import (build_basis, concentration_check,
+from tfloc.lcbasis import (atom_matrix, build_basis, concentration_check,
                            derivative_bound_check, gram_check, lk_ratio_check)
-from tfloc.whitney import whitney_decompose
+from tfloc.whitney import admissible_set, whitney_decompose
 
 GRAM_TOL = 1e-6
 
@@ -44,11 +44,41 @@ def test_enumeration_deterministic_and_frequency_sorted():
 
 def test_admissible_atoms_match_set():
     basis = _basis(D=36.0, eta=0.25)
-    atoms = basis.admissible_atoms(0.22, 0.1)
-    from tfloc.whitney import admissible_set
-
     S = admissible_set(basis.decomposition, 0.22, 0.1)
+    atoms = basis.atoms_for(S.entries)
     assert [(a.j, a.k) for a in atoms] == list(S.entries)
+
+
+def test_atom_matrix_values_and_derivatives():
+    basis = _basis()
+    # central piece, interior pieces on both sides, both boundary pieces
+    keys = ((4, 0), (4, 5), (2, 0), (2, 1), (6, 1), (0, 0), (8, 0), (8, 1))
+    atoms = [basis.atom(j, k) for j, k in keys]
+    outside = np.array([-17.0, -16.5, 16.5, 17.0])
+    x = np.concatenate([np.linspace(-16.0, 16.0, 4001), outside])
+    direct = np.column_stack([
+        math.sqrt(2.0 / a.delta) * a.bell.value(x) * np.cos(2.0 * np.pi * a.xi * (x - a.alpha))
+        for a in atoms
+    ])
+    vals = atom_matrix(atoms, x)
+    assert vals.shape == (len(x), len(atoms))
+    assert np.max(np.abs(vals - direct)) < 1e-14
+    h = 1e-4
+    above, below = atom_matrix(atoms, x + h), atom_matrix(atoms, x - h)
+    diffs = {1: (above - below) / (2.0 * h), 2: (above - 2.0 * vals + below) / h**2}
+    for order, reference in diffs.items():
+        got = atom_matrix(atoms, x, order)
+        scale = np.max(np.abs(got), axis=0)
+        assert np.all(np.max(np.abs(got - reference), axis=0) < 1e-4 * scale)
+        assert np.all(got[-len(outside):] == 0.0)
+        for col, a in enumerate(atoms):
+            assert np.array_equal(a.derivative(x, order), got[:, col])
+    for order in (0, 1, 2):
+        row = atom_matrix(atoms, 3.7, order)
+        assert row.shape == (len(atoms),)
+        assert np.array_equal(row, atom_matrix(atoms, [3.7], order)[0])
+        assert np.ndim(atoms[1].derivative(3.7, order)) == 0
+        assert atoms[1].derivative(3.7, order) == row[1]
 
 
 @pytest.mark.parametrize("eta", [0.3, 0.5])

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from tfloc.errors import DomainError, ResolutionError
-from tfloc.localization import (localization_spectrum, min_grid_size,
-                                plunge_width)
+from tfloc.localization import localization_spectrum, min_grid_size
 
 
 def test_trace_equals_time_bandwidth_area():
@@ -54,7 +53,7 @@ def test_narrow_band_localizes_nothing():
 def test_plunge_width_sublinear():
     widths = []
     for W, T in ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0), (2.0, 4.0)):
-        widths.append(plunge_width(localization_spectrum(W, T)))
+        widths.append(localization_spectrum(W, T).count_plunge)
     assert widths == sorted(widths)
     assert widths[-1] <= widths[0] + 3 * np.log(8.0)
 

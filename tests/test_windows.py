@@ -7,8 +7,8 @@ from tfloc.errors import DomainError, UnsupportedOrderError
 from tfloc.fitting import envelope_points, fit_decay
 from tfloc.fourier import SampledFunction, ft_grid
 from tfloc.whitney import whitney_decompose
-from tfloc.windows import (GevreyProfile, bell_value, build_bells,
-                           interior_region, partition_of_energy)
+from tfloc.windows import (GevreyProfile, build_bells, interior_region,
+                           partition_of_energy)
 
 JUNCTION_TOL = 1e-10
 ENERGY_TOL = 1e-9
@@ -57,10 +57,10 @@ def test_bell_value_support_and_core():
     bells = build_bells(whitney_decompose(8.0), 0.3)
     b = bells[2]
     lo, hi = b.support
-    assert bell_value(b, lo - 0.1) == 0.0
-    assert bell_value(b, hi + 0.1) == 0.0
+    assert b.value(lo - 0.1) == 0.0
+    assert b.value(hi + 0.1) == 0.0
     core_lo, core_hi = b.core
-    assert bell_value(b, 0.5 * (core_lo + core_hi)) == 1.0
+    assert b.value(0.5 * (core_lo + core_hi)) == 1.0
     assert 0.0 <= float(np.min(b.value(np.linspace(lo, hi, 2001))))
     assert float(np.max(b.value(np.linspace(lo, hi, 2001)))) <= 1.0
 

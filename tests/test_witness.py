@@ -14,7 +14,7 @@ from tfloc.schemes import InterpolationScheme, Node, rv_scheme
 import tfloc
 from tfloc.witness import (NULL_REL_TOL, WitnessProblem, assemble_constraints,
                            outside_support_max, select_null_vector,
-                           solve_witness, symmetrize, tail_certificate,
+                           solve_witness, tail_certificate,
                            thin_scheme)
 
 RESIDUAL_TOL = 1e-8
@@ -247,13 +247,26 @@ def test_tail_certificate(thin_none, full_none):
         tail_certificate(full_none)
 
 
-def test_symmetrize_columns():
-    p = WitnessProblem(THINNED, 3.0, 3.0, 0.10, 0.1, "even")
-    cols = symmetrize(p, p.atoms())
-    x = np.linspace(0.1, 2.9, 7)
-    assert np.allclose(cols(x), cols(-x), atol=0, rtol=0)
-    with pytest.raises(DomainError):
-        symmetrize(WitnessProblem(SCHEME, 3.0, 3.0, 0.22, 0.1), [])
+def _lambda_rows(parity, nodes):
+    scheme = InterpolationScheme(lambda_nodes=nodes, m_nodes=(), L=2.0)
+    p = WitnessProblem(scheme, 3.0, 3.0, 0.22, 0.1, parity)
+    A, labels = assemble_constraints(p, p.atoms())
+    return {(point, order): A[i] for i, (_, point, order, _) in enumerate(labels)}
+
+
+@pytest.mark.parametrize("parity", ["none", "even", "odd"])
+def test_derivative_rows_match_differences(parity):
+    points, h = (-1.3, -0.4, 0.0, 0.4, 1.3), 1e-4
+    rows = _lambda_rows(parity, tuple(Node(x, r) for x in points for r in (1, 2)))
+    values = _lambda_rows(parity, tuple(Node(x + s, 0) for x in points for s in (-h, 0.0, h)))
+    for x in points:
+        above, at, below = values[(x + h, 0)], values[(x, 0)], values[(x - h, 0)]
+        diffs = {1: (above - below) / (2.0 * h), 2: (above - 2.0 * at + below) / h**2}
+        for order, reference in diffs.items():
+            row = rows[(x, order)]
+            assert np.max(np.abs(row - reference)) <= 1e-5 * np.max(np.abs(row))
+    if parity == "odd":
+        assert np.all(values[(0.0, 0)] == 0.0) and np.all(rows[(0.0, 2)] == 0.0)
 
 
 def test_thinning_contract():
