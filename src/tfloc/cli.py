@@ -15,6 +15,7 @@ check failed.  Heavy imports happen inside the handlers so that --threads
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -48,13 +49,32 @@ def _jval(v):
     return v
 
 
+def _cells(report: dict, as_json: bool) -> list:
+    """The report's rows, each value formatted for CSV or rounded for JSON.
+
+    A report may give `grid` = (x, y, z), float arrays, in place of rows: one
+    row (x[i], y[j], z[i, j]) per grid point, i-major, with each axis value
+    formatted once.
+    """
+    fmt = _jval if as_json else _fmt
+    if "grid" not in report:
+        return [[fmt(v) for v in row] for row in report["rows"]]
+    # "%.12g" % v is _fmt's float rule, without its per-value type tests
+    xs, ys, zs = (["%.12g" % v for v in a.ravel().tolist()] for a in report["grid"])
+    if as_json:
+        xs, ys, zs = ([float(t) for t in col] for col in (xs, ys, zs))
+    n = len(ys)
+    return [row for i, xv in enumerate(xs)
+            for row in zip(itertools.repeat(xv, n), ys, zs[i * n:(i + 1) * n])]
+
+
 def _emit(report: dict, args) -> None:
     if args.json:
         clean = {
             "command": report["command"],
             "config": {k: _jval(v) for k, v in report["config"].items()},
             "columns": list(report["columns"]),
-            "rows": [[_jval(v) for v in row] for row in report["rows"]],
+            "rows": _cells(report, True),
             "summary": {k: _jval(v) for k, v in report["summary"].items()},
         }
         text = json.dumps(clean, sort_keys=True) + "\n"
@@ -63,8 +83,7 @@ def _emit(report: dict, args) -> None:
         for k in sorted(report["config"]):
             lines.append(f"# {k}={_fmt(report['config'][k])}")
         lines.append(",".join(report["columns"]))
-        for row in report["rows"]:
-            lines.append(",".join(_fmt(v) for v in row))
+        lines.extend(map(",".join, _cells(report, False)))
         for k in sorted(report["summary"]):
             lines.append(f"# {k}={_fmt(report['summary'][k])}")
         text = "\n".join(lines) + "\n"
@@ -209,7 +228,7 @@ def _cmd_decay(args) -> tuple[dict, int]:
 def _cmd_prolate(args) -> tuple[dict, int]:
     from .localization import localization_spectrum
 
-    spec = localization_spectrum(args.W, args.T, N=args.N)
+    spec = localization_spectrum(args.W, args.T)
     rows = list(enumerate(float(v) for v in spec.eigenvalues))
     report = {
         "command": "prolate",
@@ -232,17 +251,12 @@ def _cmd_bound(args) -> tuple[dict, int]:
     scheme = _build_scheme(args.scheme, args.zeros_file, args.R1_max, args.R2_max)
     audit = audit_bound(scheme, (1.0, args.R1_max), (1.0, args.R2_max),
                         args.step, args.eps)
-    rows = [
-        (float(r1), float(r2), float(audit.slack[i, j]))
-        for i, r1 in enumerate(audit.R1)
-        for j, r2 in enumerate(audit.R2)
-    ]
     report = {
         "command": "bound",
         "config": {"scheme": args.scheme, "R1_max": args.R1_max,
                    "R2_max": args.R2_max, "step": args.step, "eps": args.eps},
         "columns": ["R1", "R2", "slack"],
-        "rows": rows,
+        "grid": (audit.R1, audit.R2, audit.slack),
         "summary": {
             "min_slack": audit.min_slack,
             "argmin_R1": audit.argmin[0],
@@ -384,7 +398,6 @@ def _build_parser() -> _Parser:
                        help="time-frequency localization spectrum")
     q.add_argument("--W", type=float, required=True)
     q.add_argument("--T", type=float, required=True)
-    q.add_argument("--N", type=int)
 
     q = sub.add_parser("bound", parents=[common],
                        help="counting bound slack surface")

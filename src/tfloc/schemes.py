@@ -66,20 +66,6 @@ class InterpolationScheme:
     def m_extent(self) -> float:
         return abs(self.m_nodes[-1].point) if self.m_nodes else 0.0
 
-    def growth_report(self, R_min: float = 2.0) -> float:
-        """max n_M(R)/R^L over stored node radii >= R_min (0 if none).
-
-        Reported, not enforced: the square-root generator's nominal L = 2
-        gives n_M(R) ~ 2 R^2, so the literal comparison only holds up to a
-        constant, which this ratio measures.
-        """
-        radii = np.array([abs(nd.point) for nd in self.m_nodes])
-        radii = np.unique(radii[radii >= R_min])
-        if len(radii) == 0:
-            return 0.0
-        counts = counting_function(self.m_nodes, radii)
-        return float(np.max(counts / radii**self.L))
-
 
 def rv_scheme(max_n: int, include_derivative_nodes: bool = False) -> InterpolationScheme:
     """Square-root lattice scheme: Lambda = M = {+-sqrt(n) : 0 <= n <= max_n}.
@@ -152,9 +138,6 @@ class BoundAudit:
     min_slack: float
     argmin: tuple[float, float]
     C_fit: float               # smallest C with slack >= -C log^(2+eps)(4 R1 R2)
-
-    def holds_with(self, C: float) -> bool:
-        return C >= self.C_fit
 
 
 def audit_bound(

@@ -4,11 +4,13 @@ Each file in tests/golden/ is the stdout of `python -m tfloc.cli ARGS
 --threads 1` for the ARGS listed below.  One BLAS thread, because the
 witness `residual` field is rounding noise that changes with the thread
 count.  A change that moves any byte must say why and regenerate the file
-with that same command.
+with that same command.  The README `bound` report is 13.9 MB, so only its
+SHA-256 is kept.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -28,7 +30,13 @@ CASES = {
     "decay_fit.csv": ["decay", "fit", "--D", "32", "--eta", "0.3", "--j", "5", "--k", "0"],
     "witness_none.json": WITNESS + ["--C", "0.22"],
     "witness_even.json": WITNESS + ["--C", "0.10", "--parity", "even"],
+    "whitney.csv": ["whitney", "--D", "36", "--C", "0.22", "--eps", "0.1"],
+    "zeta.csv": ["zeta", "--T-max", "236", "--eps", "0.1", "--C", "10"],
+    "prolate.csv": ["prolate", "--W", "2", "--T", "2"],
 }
+BOUND = ["bound", "--scheme", "rv", "--R1-max", "10", "--R2-max", "10",
+         "--step", "0.01", "--eps", "0.1"]
+BOUND_SHA256 = "617811bc712fbe2a99da150db72f89395e67205b1d5c3dbe495735d6f6ed3d79"
 
 
 def _report(argv) -> bytes:
@@ -43,3 +51,7 @@ def _report(argv) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
     assert _report(CASES[name]) == (GOLDEN / name).read_bytes()
+
+
+def test_bound_report_matches_sha256():
+    assert hashlib.sha256(_report(BOUND)).hexdigest() == BOUND_SHA256

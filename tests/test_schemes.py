@@ -129,10 +129,6 @@ def test_zeta_scheme_examples():
         zeta_scheme([-1.0, 2.0], max_n=3)
 
 
-def test_growth_report_is_order_one_for_rv():
-    assert rv_scheme(100).growth_report() < 3.0
-
-
 def test_rvm_check_passes_with_default_constant():
     zeros = bundled_zeros()
     rep = riemann_von_mangoldt_check(zeros, (1.0, 236.0), eps=0.1, C=10.0)
