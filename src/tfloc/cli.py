@@ -289,6 +289,11 @@ def _cmd_zeta(args) -> tuple[dict, int]:
     return report, 0 if rep.passed else 2
 
 
+# residual and sigma_min print no lower than this times sigma_max: below it
+# they are rounding noise that changes with the BLAS build and thread count
+NOISE_REL_FLOOR = 1e-14
+
+
 def _cmd_witness(args) -> tuple[dict, int]:
     from .witness import (WitnessProblem, outside_support_max, solve_witness,
                           tail_certificate, thin_scheme)
@@ -302,14 +307,15 @@ def _cmd_witness(args) -> tuple[dict, int]:
     problem = WitnessProblem(scheme, args.R1, args.R2, C=args.C, eps=args.eps,
                              parity=args.parity)
     res = solve_witness(problem)
+    floor = NOISE_REL_FLOOR * res.sigma_max
     summary = {
         "D": problem.D,
         "eta": problem.eta,
         "size_S": len(res.entries),
         "constraint_rows": problem.constraint_count,
         "null_dim": res.null_dim,
-        "residual": res.residual,
-        "sigma_min": res.sigma_min,
+        "residual": max(res.residual, floor),
+        "sigma_min": max(res.sigma_min, floor),
         "sigma_max": res.sigma_max,
         "l2": res.l2,
         "l2_target": res.l2_target,

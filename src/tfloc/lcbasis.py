@@ -83,10 +83,8 @@ def atom_matrix(atoms, x, order: int = 0) -> np.ndarray:
     """Derivative of order `order` of every atom at x, shape (len(x), len(atoms)).
 
     A scalar x gives shape (len(atoms),).  This is the one atom evaluator:
-    each distinct bell's jet is computed once, on the points of x inside its
-    support, and is zero elsewhere.  The cosine factor runs over all of x, so
-    an entry outside the support is nf * 0.0 * cos, a zero with the sign of
-    the cosine, exactly as if the bell had been evaluated there.
+    each distinct bell's jet, and each atom's cosine factor, is computed once
+    on the points of x inside the bell's support; every other entry is 0.0.
     """
     if not 0 <= order <= MAX_ATOM_DERIVATIVE:
         raise UnsupportedOrderError(
@@ -94,27 +92,26 @@ def atom_matrix(atoms, x, order: int = 0) -> np.ndarray:
         )
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
-    out = np.empty((len(flat), len(atoms)))
+    out = np.zeros((len(flat), len(atoms)))
     by_bell: dict[BellWindow, list[int]] = {}
     for i, a in enumerate(atoms):
         by_bell.setdefault(a.bell, []).append(i)
     for bell, cols in by_bell.items():
         lo, hi = bell.support
-        inside = (flat >= lo) & (flat <= hi)
-        b = [np.zeros_like(flat) for _ in range(order + 1)]
-        for full, part in zip(b, bell.jet(flat[inside], order)):
-            full[inside] = part
+        inside = np.flatnonzero((flat >= lo) & (flat <= hi))
+        xs = flat[inside]
+        b = bell.jet(xs, order)
         for i in cols:
             a = atoms[i]
             omega = 2.0 * np.pi * a.xi
-            phase = omega * (flat - a.alpha)
+            phase = omega * (xs - a.alpha)
             c = np.cos(phase)
             if order == 0:
-                out[:, i] = a.norm_factor * b[0] * c
+                out[inside, i] = a.norm_factor * b[0] * c
             elif order == 1:
-                out[:, i] = a.norm_factor * (b[1] * c - omega * b[0] * np.sin(phase))
+                out[inside, i] = a.norm_factor * (b[1] * c - omega * b[0] * np.sin(phase))
             else:
-                out[:, i] = a.norm_factor * (
+                out[inside, i] = a.norm_factor * (
                     b[2] * c - 2.0 * omega * b[1] * np.sin(phase) - omega * omega * b[0] * c
                 )
     return out.reshape(x.shape + (len(atoms),))

@@ -1,11 +1,11 @@
 """Golden CLI reports: README commands must print byte-identical reports.
 
 Each file in tests/golden/ is the stdout of `python -m tfloc.cli ARGS
---threads 1` for the ARGS listed below.  One BLAS thread, because the
-witness `residual` field is rounding noise that changes with the thread
-count.  A change that moves any byte must say why and regenerate the file
-with that same command.  The README `bound` report is 13.9 MB, so only its
-SHA-256 is kept.
+--threads 1` for the ARGS listed below.  The witness reports must also come
+out byte-identical at `--threads 2`: their noise-level fields (`residual`,
+`sigma_min`) print clamped at a floor relative to `sigma_max`.  A change
+that moves any byte must say why and regenerate the file with that same
+command.  The README `bound` report is 13.9 MB, so only its SHA-256 is kept.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ BOUND = ["bound", "--scheme", "rv", "--R1-max", "10", "--R2-max", "10",
 BOUND_SHA256 = "617811bc712fbe2a99da150db72f89395e67205b1d5c3dbe495735d6f6ed3d79"
 
 
-def _report(argv) -> bytes:
+def _report(argv, threads=1) -> bytes:
     env = dict(os.environ)
     src = str(Path(tfloc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "tfloc.cli", *argv, "--threads", "1"],
+    done = subprocess.run([sys.executable, "-m", "tfloc.cli", *argv, "--threads", str(threads)],
                           env=env, capture_output=True, check=True)
     return done.stdout
 
@@ -51,6 +51,11 @@ def _report(argv) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
     assert _report(CASES[name]) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["witness_even.json", "witness_none.json"])
+def test_witness_report_matches_golden_at_two_threads(name):
+    assert _report(CASES[name], threads=2) == (GOLDEN / name).read_bytes()
 
 
 def test_bound_report_matches_sha256():

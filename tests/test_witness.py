@@ -1,3 +1,5 @@
+import cmath
+import functools
 import json
 import math
 import os
@@ -8,10 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scipy.integrate import quad
+
 from tfloc.errors import DegenerateInputError, DomainError
 from tfloc.fourier import ft_at
+from tfloc.lcbasis import build_basis
 from tfloc.schemes import InterpolationScheme, Node, rv_scheme
+from tfloc.whitney import whitney_decompose
+from tfloc.windows import SHARPNESS
 import tfloc
+from tfloc import witness
 from tfloc.witness import (NULL_REL_TOL, WitnessProblem, assemble_constraints,
                            outside_support_max, select_null_vector,
                            solve_witness, tail_certificate,
@@ -211,7 +219,7 @@ def test_odd_parity_witness(thin_odd):
 
 def test_assemble_rows_match_counting():
     p = WitnessProblem(THINNED, 3.0, 3.0, 0.22, 0.1)
-    A, labels = assemble_constraints(p, p.atoms(), n=4096)
+    A, labels = assemble_constraints(p, p.atoms())
     assert A.shape == (30, 34)
     assert len(labels) == p.constraint_count
     assert labels[0] == ("lambda", 0.0, 0, "re")
@@ -267,6 +275,118 @@ def test_derivative_rows_match_differences(parity):
             assert np.max(np.abs(row - reference)) <= 1e-5 * np.max(np.abs(row))
     if parity == "odd":
         assert np.all(values[(0.0, 0)] == 0.0) and np.all(rows[(0.0, 2)] == 0.0)
+
+
+# Transform rows against references that share no code with the witness:
+# the atom is rebuilt from its definition (lcbasis and windows docstrings)
+# and integrated in atom units t, where x = t / (2 R2) without parity and
+# x = (t / R2 + R1) / 2 on the positive half-line under parity.
+ROW_MU = 2.3
+ROW_ORDERS = (0, 1, 2)
+
+
+def _rho(s, gamma):
+    """Rising profile sin(pi/2 v((s+1)/2)) on (-1, 1), 0 below, 1 above, with
+    v(u) = 1 / (1 + exp(q)), q = SHARPNESS (u^-gamma - (1-u)^-gamma)."""
+    u = 0.5 * (s + 1.0)
+    if isinstance(u, float):   # quad's scalar calls
+        if not 0.0 < u < 1.0:
+            return float(u >= 1.0)
+        q = SHARPNESS * (u ** -gamma - (1.0 - u) ** -gamma)
+        return math.sin(0.5 * math.pi / (1.0 + math.exp(min(q, 700.0))))
+    out = (u >= 1.0).astype(float)
+    live = (u > 0.0) & (u < 1.0)
+    ul = u[live]
+    q = np.minimum(SHARPNESS * (ul ** -gamma - (1.0 - ul) ** -gamma), 700.0)
+    out[live] = np.sin(0.5 * np.pi / (1.0 + np.exp(q)))
+    return out
+
+
+def _atom_direct(atom, t):
+    b = atom.bell
+    delta = b.right_center - b.left_center
+    bell = (_rho((t - b.left_center) / b.left_radius, b.profile.gamma)
+            * _rho((b.right_center - t) / b.right_radius, b.profile.gamma))
+    xi = (2 * atom.k + 1) / (4.0 * delta)
+    return math.sqrt(2.0 / delta) * bell * np.cos(2.0 * np.pi * xi * (t - b.left_center))
+
+
+def _preimage(p, t):
+    return t / (2.0 * p.R2) if p.parity == "none" else 0.5 * (t / p.R2 + p.R1)
+
+
+def _trapezoid_reference(p, atom, n=1 << 20):
+    """int Phi(t) (-2 pi i x)^k e^(-2 pi i mu x) dx, k in ROW_ORDERS, on the support."""
+    lo, hi = atom.bell.support
+    t = np.linspace(lo, hi, n + 1)
+    x = _preimage(p, t)
+    # Phi vanishes at both ends, so every trapezoid weight is dt; dx = dt / (2 R2)
+    w = _atom_direct(atom, t) * ((hi - lo) / n / (2.0 * p.R2))
+    theta = 2.0 * np.pi * ROW_MU * x
+    c, s = w * np.cos(theta), w * np.sin(theta)
+    return np.array([(-2j * np.pi) ** k * (c @ xk - 1j * (s @ xk))
+                     for k, xk in zip(ROW_ORDERS, (np.ones_like(x), x, x * x))])
+
+
+def _quad_reference(p, atom, levels=30):
+    # quad(points=[junction centers]) alone misses the ramps (by 2e-6 to 9e-6
+    # at order 0 on these atoms), so the integral is summed over a geometric
+    # ladder c +- r 2^-l toward each center
+    b = atom.bell
+    lo, hi = b.support
+    cuts = {lo, hi}
+    for c, r in ((b.left_center, b.left_radius), (b.right_center, b.right_radius)):
+        cuts.update(c + s * r * 0.5**l for l in range(levels + 1) for s in (-1.0, 1.0))
+    cuts = sorted(c for c in cuts if lo <= c <= hi)
+
+    @functools.lru_cache(maxsize=None)
+    def orders(t):
+        x = _preimage(p, t)
+        g = _atom_direct(atom, t) * cmath.exp(-2j * math.pi * ROW_MU * x) / (2.0 * p.R2)
+        return tuple(g * (-2j * math.pi * x) ** k for k in ROW_ORDERS)
+
+    return np.array([
+        sum(quad(lambda t: orders(t)[k], a, z, complex_func=True, limit=200)[0]
+            for a, z in zip(cuts[:-1], cuts[1:]))
+        for k in ROW_ORDERS
+    ])
+
+
+@pytest.mark.parametrize("parities", [("none",), ("even", "odd")], ids=["none", "even-odd"])
+def test_transform_rows_match_independent_quadratures(parities):
+    # even and odd share D = 18 and fold onto the half line: with h the
+    # integral over x > 0, the transform is 2 Re h (even) or 2i Im h (odd)
+    nodes = tuple(Node(s * ROW_MU, k) for k in ROW_ORDERS for s in (1.0, -1.0))
+    scheme = InterpolationScheme(lambda_nodes=(), m_nodes=nodes, L=2.0)
+    problems = [WitnessProblem(scheme, 3.0, 3.0, 0.22, 0.1, par) for par in parities]
+    basis = build_basis(whitney_decompose(problems[0].D), problems[0].eta)
+    last = len(basis.bells) - 1
+    # central, interior and both boundary pieces
+    atoms = [basis.atom(j, k) for j, k in ((last // 2, 5), (2, 1), (0, 0), (last, 0))]
+    got = []
+    for p in problems:
+        A, labels = assemble_constraints(p, atoms)
+        row = {(point, order): A[r] for r, (_, point, order, _) in enumerate(labels)}
+        got.append(np.array([row[(ROW_MU, k)] + 1j * row[(-ROW_MU, k)] for k in ROW_ORDERS]))
+    for i, atom in enumerate(atoms):
+        for h in (_trapezoid_reference(problems[0], atom), _quad_reference(problems[0], atom)):
+            for p, rows in zip(problems, got):
+                want = {"none": h, "even": 2.0 * h.real, "odd": 2j * h.imag}[p.parity]
+                assert np.max(np.abs(rows[:, i] - want)) < 1e-12
+
+
+def test_residual_honest_under_refined_rule(thin_none, thin_even, thin_odd, monkeypatch):
+    rows = {}
+    for r in (thin_none, thin_even, thin_odd):
+        rows[r.problem.parity] = assemble_constraints(r.problem, r.problem.atoms())[0]
+    monkeypatch.setattr(witness, "GRADE_LEVELS", 16)
+    monkeypatch.setattr(witness, "PANEL_WIDTH", 0.25)
+    monkeypatch.setattr(witness, "PANEL_NODES", 16)
+    for r in (thin_none, thin_even, thin_odd):
+        A_ref, _ = assemble_constraints(r.problem, r.problem.atoms())
+        assert np.max(np.abs(A_ref - rows[r.problem.parity])) < 1e-13
+        # the printed residual is a property of the transform, not of the rule
+        assert np.max(np.abs(A_ref @ r.coefficients)) < 1e-12
 
 
 def test_thinning_contract():
