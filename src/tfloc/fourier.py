@@ -44,14 +44,12 @@ class SampledFunction:
 
     samples[0] and samples[-1] must vanish up to a relative tolerance: the
     quadrature identities (and the FFT sweep endpoint handling) assume there
-    is no mass at or beyond the window edges.  symmetry is a declarative tag
-    ("none" | "even" | "odd") used by callers, not enforced here.
+    is no mass at or beyond the window edges.
     """
 
     support: tuple[float, float]
     step: float
     samples: np.ndarray
-    symmetry: str = "none"
 
     def __post_init__(self):
         samples = np.asarray(self.samples)
@@ -66,8 +64,6 @@ class SampledFunction:
         span = (len(samples) - 1) * self.step
         if abs(span - (x1 - x0)) > 1e-9 * max(1.0, x1 - x0):
             raise InputError("step * (n - 1) does not match the support length")
-        if self.symmetry not in ("none", "even", "odd"):
-            raise InputError(f"unknown symmetry tag {self.symmetry!r}")
         peak = float(np.max(np.abs(samples)))
         if peak == 0.0:
             return
@@ -79,13 +75,13 @@ class SampledFunction:
             )
 
     @classmethod
-    def from_callable(cls, fn, support, n=DEFAULT_GRID, symmetry="none"):
+    def from_callable(cls, fn, support, n=DEFAULT_GRID):
         x0, x1 = float(support[0]), float(support[1])
         if not x1 > x0:
             raise InputError(f"empty support [{x0}, {x1}]")
         grid = np.linspace(x0, x1, int(n) + 1)
         vals = np.asarray(fn(grid))
-        return cls((x0, x1), (x1 - x0) / int(n), vals, symmetry)
+        return cls((x0, x1), (x1 - x0) / int(n), vals)
 
     @cached_property
     def grid(self) -> np.ndarray:

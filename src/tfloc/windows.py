@@ -97,31 +97,21 @@ class GevreyProfile:
             out.append(0.125 * np.pi * (cos * d2v - 0.5 * np.pi * out[0] * dv * dv))
         return out
 
-    def value(self, t):
-        return self.jet(t)[0]
-
-    def derivative(self, t, order: int = 1):
-        return self.jet(t, order)[order]
-
 
 @dataclass(frozen=True)
 class BellWindow:
     """b_j(x) = rho((x - lc)/lr) * rho((rc - x)/rr), supported in [lc-lr, rc+rr].
 
     (lc, lr) and (rc, rr) are the centers and radii of the piece's left and
-    right junctions; boundary junctions are virtual (inset from +-D/2) and
-    flagged.  The cosine interval of the piece's atoms is [lc, rc].
+    right junctions; boundary junctions are virtual (inset from +-D/2).  The
+    cosine interval of the piece's atoms is [lc, rc].
     """
 
     index: int
-    interval: tuple[float, float]
-    eta: float
     left_center: float
     left_radius: float
     right_center: float
     right_radius: float
-    left_boundary: bool
-    right_boundary: bool
     profile: GevreyProfile
 
     @property
@@ -185,23 +175,17 @@ def build_bells(w: WhitneyDecomposition, eta: float) -> list[BellWindow]:
             next_len = w.pieces[i][1]
             centers.append(w.pieces[i][0])
             radii.append(min(prev_len, next_len) / 4.0)
-    bells = []
-    for j, (a, ln_) in enumerate(w.pieces):
-        bells.append(
-            BellWindow(
-                index=j,
-                interval=(a, a + ln_),
-                eta=eta,
-                left_center=centers[j],
-                left_radius=radii[j],
-                right_center=centers[j + 1],
-                right_radius=radii[j + 1],
-                left_boundary=(j == 0),
-                right_boundary=(j == n - 1),
-                profile=profile,
-            )
+    return [
+        BellWindow(
+            index=j,
+            left_center=centers[j],
+            left_radius=radii[j],
+            right_center=centers[j + 1],
+            right_radius=radii[j + 1],
+            profile=profile,
         )
-    return bells
+        for j in range(n)
+    ]
 
 
 def partition_of_energy(bells: list[BellWindow], x) -> np.ndarray:

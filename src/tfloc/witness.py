@@ -20,17 +20,19 @@ at mu, the negative entry the imaginary part, and a zero-point entry
 whichever part its moment parity leaves nontrivial.  Row count therefore
 equals n_Lambda(R1) + n_M(R2), entries counted with multiplicity.
 
-Transform rows are the integrals of each atom against
-(-2 pi i x)^k e^(-2 pi i mu x), by composite Gauss-Legendre quadrature on
-the union of the atoms' bell supports (_transform_nodes).  Each bell's
+Every transform the witness certifies, the constraint rows at |mu| <= R2
+and the tail beyond R2, is one phase sum (_transform) over the nodes of a
+composite Gauss-Legendre rule on the union of the atoms' bell supports
+(_transform_nodes): a row integrates an atom against
+(-2 pi i x)^k e^(-2 pi i mu x), the tail integrates f itself.  Each bell's
 Gevrey ramp turns over within about 1e-3 of its junction radius r, far
 below any uniform grid step, so the panels are graded geometrically toward
-every junction center, down to r 2^-GRADE_LEVELS.  The rows agree with a
-rule of four more levels, half the panel width and 16 nodes per panel to
-about 1e-15, so the residual printed for a witness is that of its
-transform, not of the quadrature.  The uniform 2^16-point grid on
-[-R1, R1] serves only the sampled witness: its sup, its L2 norm, the
-support check and the transform tail certificate.
+every junction center, down to r 2^-GRADE_LEVELS.  Rows and tail agree
+with a rule of four more levels, half the panel width and 16 nodes per
+panel to about 1e-15, so the residual and tail printed for a witness are
+those of its transform, not of the quadrature.  The uniform 2^16-point grid
+on [-R1, R1] serves only the sampled witness: its sup, its L2 norm and the
+support check.
 
 Coefficients are the normalized orthogonal projection of the all-ones
 vector onto the numerical null space (the right singular vectors whose
@@ -53,8 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .fourier import (DEFAULT_GRID, MAX_FT_DERIVATIVE, SampledFunction, ft_at, l2_norm,
-                      sup_norm)
+from .fourier import DEFAULT_GRID, MAX_FT_DERIVATIVE, SampledFunction, l2_norm, sup_norm
 from .lcbasis import LocalCosineAtom, atom_matrix, build_basis
 from .schemes import InterpolationScheme, counting_function
 from .whitney import admissible_set, whitney_decompose
@@ -69,6 +70,8 @@ PARITIES = ("none", "even", "odd")
 GRADE_LEVELS = 12
 PANEL_WIDTH = 0.5
 PANEL_NODES = 12
+# frequencies per phase block of _transform: a block is XI_BLOCK x (rule nodes)
+XI_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -161,6 +164,21 @@ def _transform_nodes(p: WitnessProblem, atoms) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x, x]), np.concatenate([w, w])
 
 
+def _transform(x, g, xi) -> np.ndarray:
+    """sum_i g_i e^(-2 pi i xi x_i) at each xi, for g of shape (nodes,) or
+    (nodes, m); the result has shape xi.shape + g.shape[1:].
+
+    With x, w from _transform_nodes and g = w h, this is the transform of h.
+    The phases are built XI_BLOCK frequencies at a time, one GEMM each.
+    """
+    xi = np.asarray(xi, dtype=float)
+    flat = xi.ravel()
+    out = np.empty(flat.shape + g.shape[1:], dtype=complex)
+    for s in range(0, len(flat), XI_BLOCK):
+        out[s : s + XI_BLOCK] = np.exp(-2j * np.pi * np.outer(flat[s : s + XI_BLOCK], x)) @ g
+    return out.reshape(xi.shape + g.shape[1:])
+
+
 def assemble_constraints(p: WitnessProblem, atoms) -> tuple[np.ndarray, tuple]:
     """Real constraint matrix (rows = constraint entries, cols = atoms).
 
@@ -169,7 +187,7 @@ def assemble_constraints(p: WitnessProblem, atoms) -> tuple[np.ndarray, tuple]:
     if len(atoms) == 0:
         raise DegenerateInputError("assemble_constraints needs a nonempty atom set")
     x, w = _transform_nodes(p, atoms)
-    cols = _columns(p, atoms, x)
+    weighted = w[:, None] * _columns(p, atoms, x)
     rows, labels = [], []
     for nd in p.scheme.lambda_nodes:
         if abs(nd.point) > p.R1:
@@ -179,11 +197,7 @@ def assemble_constraints(p: WitnessProblem, atoms) -> tuple[np.ndarray, tuple]:
     for nd in p.scheme.m_nodes:
         if abs(nd.point) > p.R2:
             continue
-        mu = abs(nd.point)
-        phase = w * np.exp(-2j * np.pi * mu * x)
-        if nd.order:
-            phase = phase * (-2j * np.pi * x) ** nd.order
-        crow = phase @ cols
+        crow = _transform(x, weighted * ((-2j * np.pi * x) ** nd.order)[:, None], abs(nd.point))
         if nd.point > 0 or (nd.point == 0.0 and nd.order % 2 == 0):
             rows.append(crow.real)
             labels.append(("m", nd.point, nd.order, "re"))
@@ -268,8 +282,7 @@ def solve_witness(p: WitnessProblem, n: int = DEFAULT_GRID) -> WitnessResult:
     residual = float(np.max(np.abs(A @ coeffs))) if A.shape[0] else 0.0
     x = np.linspace(-p.R1, p.R1, n + 1)
     vals = _columns(p, atoms, x) @ coeffs
-    symmetry = p.parity if p.parity != "none" else "none"
-    f = SampledFunction((-p.R1, p.R1), 2.0 * p.R1 / n, vals, symmetry=symmetry)
+    f = SampledFunction((-p.R1, p.R1), 2.0 * p.R1 / n, vals)
     sup_x, sup_val = sup_norm(f)
     return WitnessResult(
         problem=p,
@@ -296,7 +309,11 @@ class TailReport:
 def tail_certificate(
     res: WitnessResult, n_xi: int = 400, k_max: int | None = None
 ) -> TailReport:
-    """Transform tail magnitudes over |xi| in (R2, 4 R2], plus the node tail."""
+    """Transform tail magnitudes over |xi| in (R2, 4 R2], plus the node tail.
+
+    F f^(k) is integrated on the rule of the constraint rows.  f is real, so
+    |F f^(k)(-xi)| = |F f^(k)(xi)| and the sweep covers xi > 0 only.
+    """
     if res.null_dim < 1:
         raise DegenerateInputError(
             "tail certificate applies to annihilating witnesses (null_dim >= 1)"
@@ -305,19 +322,18 @@ def tail_certificate(
     if k_max is None:
         k_max = min(int(p.scheme.L), MAX_FT_DERIVATIVE)
     xi = np.linspace(p.R2, 4.0 * p.R2, n_xi + 1)[1:]
-    full = np.concatenate([-xi[::-1], xi])
-    maxima = []
-    for k in range(k_max + 1):
-        vals = ft_at(res.function, full, m=k)
-        maxima.append((k, float(np.max(np.abs(vals)))))
-    total = 0.0
-    for nd in p.scheme.m_nodes:
-        if abs(nd.point) <= p.R2:
-            continue
-        k = min(nd.order, MAX_FT_DERIVATIVE)
-        val = abs(ft_at(res.function, float(nd.point), m=k))
-        total += val * abs(nd.point) ** p.scheme.U
-    return TailReport(xi=xi, max_by_order=tuple(maxima), weighted_sum=float(total))
+    nodes = [nd for nd in p.scheme.m_nodes if abs(nd.point) > p.R2]
+    top = max([k_max] + [nd.order for nd in nodes])
+    atoms = p.atoms()
+    x, w = _transform_nodes(p, atoms)
+    f = (_columns(p, atoms, x) @ res.coefficients) * w
+    moments = f[:, None] * (-2j * np.pi * x[:, None]) ** np.arange(top + 1)
+    sweep = np.abs(_transform(x, moments[:, : k_max + 1], xi))
+    maxima = tuple((k, float(np.max(sweep[:, k]))) for k in range(k_max + 1))
+    at_nodes = np.abs(_transform(x, moments, [nd.point for nd in nodes]))
+    total = sum(at_nodes[i, nd.order] * abs(nd.point) ** p.scheme.U
+                for i, nd in enumerate(nodes))
+    return TailReport(xi=xi, max_by_order=maxima, weighted_sum=float(total))
 
 
 def outside_support_max(res: WitnessResult, n: int = 4096) -> float:

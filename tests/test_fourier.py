@@ -14,7 +14,7 @@ GAUSS_TOL = 1e-6
 
 def _gaussian(n=1 << 16):
     return SampledFunction.from_callable(
-        lambda x: np.exp(-np.pi * x**2), (-8.0, 8.0), n=n, symmetry="even")
+        lambda x: np.exp(-np.pi * x**2), (-8.0, 8.0), n=n)
 
 
 def _hat(n):

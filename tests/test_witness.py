@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from tfloc.errors import DegenerateInputError, DomainError
-from tfloc.fourier import ft_at
+from tfloc.fourier import MAX_FT_DERIVATIVE, ft_at
 from tfloc.lcbasis import build_basis
 from tfloc.schemes import InterpolationScheme, Node, rv_scheme
 from tfloc.whitney import whitney_decompose
@@ -173,7 +173,7 @@ def test_witness_independent_of_blas_threads():
         for key in ("l2", "sup_x", "sup_value"):
             assert a[key] == pytest.approx(b[key], abs=1e-12, rel=0)
         assert np.max(np.abs(np.subtract(a["coefficients"], b["coefficients"]))) < 1e-12
-        # the tail rows go through a threaded zgemm in ft_at
+        # the tail sums go through a threaded zgemm in witness._transform
         assert a["tail_max"] == pytest.approx(b["tail_max"], rel=1e-12, abs=0)
         assert a["tail_weighted_sum"] == pytest.approx(b["tail_weighted_sum"], rel=1e-12, abs=0)
 
@@ -387,6 +387,53 @@ def test_residual_honest_under_refined_rule(thin_none, thin_even, thin_odd, monk
         assert np.max(np.abs(A_ref - rows[r.problem.parity])) < 1e-13
         # the printed residual is a property of the transform, not of the rule
         assert np.max(np.abs(A_ref @ r.coefficients)) < 1e-12
+
+
+def test_tail_matches_refined_rule(thin_none, thin_even, thin_odd, monkeypatch):
+    reports = {r.problem.parity: tail_certificate(r) for r in (thin_none, thin_even, thin_odd)}
+    monkeypatch.setattr(witness, "GRADE_LEVELS", 16)
+    monkeypatch.setattr(witness, "PANEL_WIDTH", 0.25)
+    monkeypatch.setattr(witness, "PANEL_NODES", 16)
+    for r in (thin_none, thin_even, thin_odd):
+        p, rep = r.problem, reports[r.problem.parity]
+        atoms = p.atoms()
+        x, w = witness._transform_nodes(p, atoms)
+        f = (witness._columns(p, atoms, x) @ r.coefficients) * w
+
+        def ft(xi, k):
+            # F f^(k) summed on the refined rule, 100 frequencies at a time
+            g = f * (-2j * np.pi * x) ** k
+            return np.concatenate([np.exp(-2j * np.pi * np.outer(xi[s:s + 100], x)) @ g
+                                   for s in range(0, len(xi), 100)])
+
+        # both signs of xi: the certificate sweeps xi > 0 only
+        both = np.concatenate([-rep.xi[::-1], rep.xi])
+        for k, got in rep.max_by_order:
+            want = np.max(np.abs(ft(both, k)))
+            assert abs(got - want) <= 1e-12 * want
+        want = sum(abs(ft(np.array([nd.point]), nd.order)[0]) * abs(nd.point) ** p.scheme.U
+                   for nd in p.scheme.m_nodes if abs(nd.point) > p.R2)
+        assert abs(rep.weighted_sum - want) <= 1e-12 * want
+
+
+def test_node_tail_keeps_orders_above_the_sweep_cap():
+    # L = 9 allows an order-9 M node; with nothing in range the witness is
+    # the first atom, f(x) = Phi(2 R2 x), and the sweep stops at order 8
+    far = InterpolationScheme((Node(5.0),), (Node(5.0, 9),), L=9.0, U=1.0, name="far")
+    r = solve_witness(WitnessProblem(far, 2.0, 2.0, 0.3, 0.1))
+    assert r.null_dim == len(r.coefficients)
+    rep = tail_certificate(r)
+    assert [k for k, _ in rep.max_by_order] == list(range(MAX_FT_DERIVATIVE + 1))
+    # reference: a 2^20-point trapezoid in atom units, Phi vanishing at both ends
+    atom, n = r.problem.atoms()[0], 1 << 20
+    lo, hi = atom.bell.support
+    t = np.linspace(lo, hi, n + 1)
+    x = _preimage(r.problem, t)
+    dx = (hi - lo) / n / (2.0 * r.problem.R2)
+    g = _atom_direct(atom, t) * np.exp(-2j * np.pi * 5.0 * x) * dx
+    order9, order8 = (abs(np.sum(g * (-2j * np.pi * x) ** k)) * 5.0 for k in (9, 8))
+    assert rep.weighted_sum == pytest.approx(order9, rel=1e-10, abs=0)
+    assert abs(order9 - order8) > 0.5 * order9
 
 
 def test_thinning_contract():
