@@ -9,19 +9,4 @@ tfloc.lcbasis import atom_matrix`).  `import tfloc` itself loads no numpy, so
 the CLI can cap BLAS threads before numpy first loads.
 """
 
-from __future__ import annotations
-
-from .errors import (
-    DecayViolationError,
-    DegenerateInputError,
-    DomainError,
-    ExtentError,
-    InputError,
-    PropertyViolation,
-    ResolutionError,
-    TflocError,
-    TflocInputError,
-    UnsupportedOrderError,
-)
-
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Envelope extraction and subexponential decay fits.
 
 Oscillatory transforms are reduced to envelope samples (per-bin maxima over
-geometrically spaced bins), then fit against
+ENVELOPE_BINS geometrically spaced bins), then fit against
 
     log mag = c0 - a * u^p + beta * log u
 
@@ -9,11 +9,10 @@ with (c0, a) solved linearly for each candidate exponent p on a grid.  The
 beta term absorbs the stationary-phase prefactor; without it the fitted
 exponent is badly biased.  Over the window double precision leaves us (often
 a single decade of u), u^p and log u are nearly collinear, so beta is never
-fit freely: it is either pinned by the caller or scanned over a coarse grid
-of plausible algebraic orders.
+fit or scanned: the caller pins it, and it defaults to 0.
 
 The fit window matters more than the model.  Envelope samples are kept only
-below rel_start times the peak and above the quadrature noise floor, and the
+below REL_START times the peak and above the quadrature noise floor, and the
 caller should also cut the near field (u_min) where the main-lobe shoulder
 distorts the tail; see concentration_check for the calibrated choice.
 """
@@ -26,10 +25,10 @@ import numpy as np
 
 from .errors import DecayViolationError, DegenerateInputError
 
+ENVELOPE_BINS = 32
 ENVELOPE_FLOOR = 5e-13
 REL_FLOOR = 1e-11
 REL_START = 0.02
-BETA_GRID = np.arange(-4.0, 0.01, 0.25)
 
 
 @dataclass(frozen=True)
@@ -44,34 +43,28 @@ class DecayFit:
 
 
 def envelope_points(
-    u: np.ndarray,
-    mag: np.ndarray,
-    n_bins: int = 32,
-    floor: float = ENVELOPE_FLOOR,
-    rel_floor: float = REL_FLOOR,
-    rel_start: float = REL_START,
-    u_min: float = 0.0,
+    u: np.ndarray, mag: np.ndarray, u_min: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin maxima of mag over geometric bins in u.
+    """Per-bin maxima of mag over ENVELOPE_BINS geometric bins in u.
 
     Keeps samples with u >= max(u_min, 0+) and mag inside the window
-    (max(floor, rel_floor * peak), rel_start * peak).
+    (max(ENVELOPE_FLOOR, REL_FLOOR * peak), REL_START * peak).
     """
     u = np.asarray(u, dtype=float)
     mag = np.asarray(mag, dtype=float)
     peak = float(mag.max(initial=0.0))
     if peak <= 0.0:
         raise DegenerateInputError("cannot build an envelope of the zero signal")
-    lo = max(floor, rel_floor * peak)
-    sel = (u > 0.0) & (u >= u_min) & (mag > lo) & (mag < rel_start * peak)
+    lo = max(ENVELOPE_FLOOR, REL_FLOOR * peak)
+    sel = (u > 0.0) & (u >= u_min) & (mag > lo) & (mag < REL_START * peak)
     us, ms = u[sel], mag[sel]
     if len(us) < 8:
         raise DegenerateInputError(
             f"only {len(us)} usable envelope samples in the fit window"
         )
-    edges = np.geomspace(us.min(), us.max() * (1.0 + 1e-9), n_bins + 1)
+    edges = np.geomspace(us.min(), us.max() * (1.0 + 1e-9), ENVELOPE_BINS + 1)
     ex, em = [], []
-    for i in range(n_bins):
+    for i in range(ENVELOPE_BINS):
         m = (us >= edges[i]) & (us < edges[i + 1])
         if np.any(m):
             j = int(np.argmax(ms[m]))
@@ -84,56 +77,40 @@ def fit_decay(
     u: np.ndarray,
     mag: np.ndarray,
     exponent: float | None = None,
-    p_grid: np.ndarray | None = None,
-    prefactor_power: float | None = None,
-    with_prefactor: bool = True,
+    prefactor_power: float = 0.0,
 ) -> DecayFit:
     """Fit the subexponential envelope model to (u, mag) envelope samples.
 
-    exponent fixes p; otherwise p is scanned over p_grid (default 0.05..1.30).
-    prefactor_power pins beta; otherwise beta is scanned over BETA_GRID when
-    with_prefactor is set, and held at 0 when it is not.
+    exponent fixes p; otherwise p is scanned over 0.05..1.30 in steps of
+    0.0025.  beta is held at prefactor_power.
     Raises DecayViolationError when no candidate yields a positive rate.
     """
     u = np.asarray(u, dtype=float)
     mag = np.asarray(mag, dtype=float)
     if len(u) < 6:
         raise DegenerateInputError("need at least 6 envelope points to fit decay")
-    L = np.log(mag)
-    lu = np.log(u)
+    target = np.log(mag) - np.log(u) * prefactor_power
     if exponent is not None:
         candidates = np.asarray([float(exponent)])
-    elif p_grid is not None:
-        candidates = np.asarray(p_grid, dtype=float)
     else:
         candidates = np.arange(0.05, 1.3005, 0.0025)
-    if prefactor_power is not None:
-        betas = np.asarray([float(prefactor_power)])
-    elif with_prefactor:
-        betas = BETA_GRID
-    else:
-        betas = np.zeros(1)
-    # one least-squares solve per p, all beta shifts as stacked right sides
-    targets = L[:, None] - lu[:, None] * betas[None, :]
     best = None
     for p in candidates:
         X = np.column_stack([np.ones_like(u), -(u**p)])
-        coef, *_ = np.linalg.lstsq(X, targets, rcond=None)
-        res = targets - X @ coef
-        sse = np.where(coef[1] > 0.0, np.sum(res**2, axis=0), np.inf)
-        i = int(np.argmin(sse))
-        if np.isfinite(sse[i]) and (best is None or sse[i] < best[0]):
-            best = (float(sse[i]), float(p), float(betas[i]), coef[:, i])
+        coef, *_ = np.linalg.lstsq(X, target, rcond=None)
+        sse = float(np.sum((target - X @ coef) ** 2))
+        if coef[1] > 0.0 and np.isfinite(sse) and (best is None or sse < best[0]):
+            best = (sse, float(p), coef)
     if best is None:
         raise DecayViolationError(
             "decay fit failed: no exponent candidate gave a positive rate"
         )
-    sse, p, beta, coef = best
+    sse, p, coef = best
     return DecayFit(
         amplitude=float(np.exp(min(coef[0], 700.0))),
         rate=float(coef[1]),
         exponent=p,
-        prefactor_power=beta,
+        prefactor_power=float(prefactor_power),
         n_points=len(u),
         residual=float(np.sqrt(sse / len(u))),
         u_range=(float(u.min()), float(u.max())),

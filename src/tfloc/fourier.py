@@ -79,6 +79,8 @@ class SampledFunction:
         x0, x1 = float(support[0]), float(support[1])
         if not x1 > x0:
             raise InputError(f"empty support [{x0}, {x1}]")
+        if n < 1:
+            raise InputError(f"need n >= 1 grid intervals, got {n}")
         grid = np.linspace(x0, x1, int(n) + 1)
         vals = np.asarray(fn(grid))
         return cls((x0, x1), (x1 - x0) / int(n), vals)

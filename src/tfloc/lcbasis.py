@@ -15,7 +15,7 @@ cosine orthogonality on the interval plus parity-cancelling edge terms.
 
 Audits: quadrature Gram matrices, concentration fits of |F Phi| around
 +-xi_jk, uniformity of the derivative-transform bound for admissible atoms,
-and Landau-Kolmogorov sup-norm ratio checks.
+and the Landau-Kolmogorov sup-norm ratio C_{2,1}.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, UnsupportedOrderError
-from .fitting import (
-    ENVELOPE_FLOOR,
-    REL_FLOOR,
-    DecayFit,
-    envelope_points,
-    fit_decay,
-)
+from .fitting import ENVELOPE_FLOOR, REL_FLOOR, DecayFit, envelope_points, fit_decay
 from .fourier import DEFAULT_GRID, SampledFunction, ft_at, ft_grid, trapezoid_weights
 from .whitney import WhitneyDecomposition
 from .windows import BellWindow, build_bells
@@ -120,7 +114,6 @@ def atom_matrix(atoms, x, order: int = 0) -> np.ndarray:
 @dataclass(frozen=True)
 class LocalCosineBasis:
     decomposition: WhitneyDecomposition
-    eta: float
     bells: tuple[BellWindow, ...]
 
     def atom(self, j: int, k: int) -> LocalCosineAtom:
@@ -150,13 +143,15 @@ class LocalCosineBasis:
 
 
 def build_basis(w: WhitneyDecomposition, eta: float) -> LocalCosineBasis:
-    return LocalCosineBasis(decomposition=w, eta=eta, bells=tuple(build_bells(w, eta)))
+    return LocalCosineBasis(decomposition=w, bells=tuple(build_bells(w, eta)))
 
 
 def gram_check(atoms: list[LocalCosineAtom], n: int = DEFAULT_GRID) -> float:
     """max |<Phi_a, Phi_b> - delta_ab| over the quadrature Gram matrix."""
     if not atoms:
         raise DegenerateInputError("gram_check needs at least one atom")
+    if n < 1:
+        raise DomainError(f"gram_check needs n >= 1 grid intervals, got {n}")
     domain = atoms[0].domain
     if any(a.domain != domain for a in atoms):
         raise DomainError("all atoms must share one decomposition domain")
@@ -169,8 +164,6 @@ def gram_check(atoms: list[LocalCosineAtom], n: int = DEFAULT_GRID) -> float:
 
 @dataclass(frozen=True)
 class ConcentrationReport:
-    atom_key: tuple[int, int]
-    eta: float
     fit: DecayFit        # free-exponent fit; exponent should land near 1 - eta
     bound_rate: float    # a of the two-sided bound with exponent pinned at 1 - eta
     worst_ratio: float   # max measured / fitted-bound over the sweep
@@ -181,6 +174,8 @@ class ConcentrationReport:
 # matter the radius, so a fixed start in edge units excludes it for every
 # atom; this is what makes one calibration serve the whole basis.
 TAIL_START = 5.0
+# zero-padding factor of the concentration sweep's FFT
+CONCENTRATION_PAD = 16
 
 
 def _stationary_prefactor_power(eta: float) -> float:
@@ -194,8 +189,6 @@ def concentration_check(
     atom: LocalCosineAtom,
     eta: float,
     n: int = DEFAULT_GRID,
-    pad: int = 16,
-    n_bins: int = 32,
     xi_max: float | None = None,
 ) -> ConcentrationReport:
     """Fit |F Phi| against delta^(1/2) A exp(-a (delta |xi -+ xi_jk|)^p).
@@ -207,7 +200,7 @@ def concentration_check(
     it dominates every measured magnitude.
     """
     f = atom.to_sampled(n)
-    xi, vals = ft_grid(f, pad=pad)
+    xi, vals = ft_grid(f, pad=CONCENTRATION_PAD)
     if xi_max is not None:
         keep = np.abs(xi) <= xi_max
         xi, vals = xi[keep], vals[keep]
@@ -218,16 +211,11 @@ def concentration_check(
     scaled = mag / math.sqrt(delta)
     # free exponent, edge-scaled variable, prefactor pinned at the
     # stationary-phase order for this smoothness class
-    wx, wm = envelope_points(
-        eps_slow * dist, scaled, n_bins=n_bins, u_min=TAIL_START
-    )
+    wx, wm = envelope_points(eps_slow * dist, scaled, u_min=TAIL_START)
     fit = fit_decay(wx, wm, prefactor_power=_stationary_prefactor_power(eta))
     # certified bound in the bound's own variable u = delta * dist, same tail
-    ux, um = envelope_points(
-        delta * dist, scaled, n_bins=n_bins,
-        u_min=TAIL_START * delta / eps_slow,
-    )
-    pinned = fit_decay(ux, um, exponent=1.0 - eta, with_prefactor=False)
+    ux, um = envelope_points(delta * dist, scaled, u_min=TAIL_START * delta / eps_slow)
+    pinned = fit_decay(ux, um, exponent=1.0 - eta)
     # two-sided pinned bound at every measured frequency above the noise floor
     keep = mag > max(ENVELOPE_FLOOR, REL_FLOOR * float(mag.max()))
     p0 = 1.0 - eta
@@ -239,8 +227,6 @@ def concentration_check(
     log_ratio = np.log(mag[keep]) - log_bound
     ratio = float(np.exp(np.clip(np.max(log_ratio), -700.0, 700.0)))
     return ConcentrationReport(
-        atom_key=(atom.j, atom.k),
-        eta=eta,
         fit=fit,
         bound_rate=pinned.rate,
         worst_ratio=ratio,
@@ -250,7 +236,6 @@ def concentration_check(
 
 @dataclass(frozen=True)
 class DerivativeBoundReport:
-    atom_key: tuple[int, int]
     n: int
     D: float
     T1: float
@@ -286,7 +271,6 @@ def derivative_bound_check(
     mag = np.abs(ft_at(f, xi, m=n))
     c = float(np.max(mag * D**T1 * xi**T2))
     return DerivativeBoundReport(
-        atom_key=(atom.j, atom.k),
         n=n,
         D=D,
         T1=T1,
@@ -296,27 +280,20 @@ def derivative_bound_check(
     )
 
 
-MAX_LK_ORDER = 4
+def lk_ratio_check(f: SampledFunction) -> float:
+    """||f'||_inf / (||f||_inf ||f''||_inf)^(1/2) on the grid.
 
-
-def lk_ratio_check(f: SampledFunction, n: int = 2, k: int = 1) -> float:
-    """||f^(k)||_inf / (||f||_inf^(1-k/n) ||f^(n)||_inf^(k/n)) on the grid.
-
-    Defaults measure the half-line constant C_{2,1}; for smooth functions the
-    sharp value is 2 and 4 is the audited ceiling.  Scale-invariant under
-    x -> c x.  Grid differences get noisy beyond order 4, hence the cap.
+    This is the half-line Landau-Kolmogorov constant C_{2,1} only, with the
+    derivatives taken as grid differences; for smooth functions the sharp
+    value is 2 and 4 is the audited ceiling.  Scale-invariant under x -> c x.
     """
-    if not 0 < k < n <= MAX_LK_ORDER:
-        raise UnsupportedOrderError(
-            f"need 0 < k < n <= {MAX_LK_ORDER}, got (n, k) = ({n}, {k})")
     vals = np.real(f.samples)
-    if float(np.max(np.abs(vals))) == 0.0:
+    sup0 = float(np.max(np.abs(vals)))
+    if sup0 == 0.0:
         raise DegenerateInputError("Landau-Kolmogorov ratio of the zero function")
     h = f.step
-    sup0 = float(np.max(np.abs(vals)))
-    supk = float(np.max(np.abs(np.diff(vals, k)))) / h**k
-    supn = float(np.max(np.abs(np.diff(vals, n)))) / h**n
-    if supn == 0.0:
-        raise DegenerateInputError(f"derivative of order {n} vanishes identically")
-    frac = k / n
-    return supk / (sup0 ** (1.0 - frac) * supn**frac)
+    sup1 = float(np.max(np.abs(np.diff(vals)))) / h
+    sup2 = float(np.max(np.abs(np.diff(vals, 2)))) / h**2
+    if sup2 == 0.0:
+        raise DegenerateInputError("second derivative vanishes identically")
+    return sup1 / (sup0**0.5 * sup2**0.5)

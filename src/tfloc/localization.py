@@ -45,8 +45,6 @@ EXTRA_MODES = 80
 
 @dataclass(frozen=True)
 class LocalizationSpectrum:
-    W: float
-    T: float
     N: int
     eigenvalues: np.ndarray  # descending
 
@@ -99,6 +97,6 @@ def localization_spectrum(W: float, T: float) -> LocalizationSpectrum:
         mu = scale * beta[0] / (at0[parity::2] @ beta)
         blocks.append(c / (2.0 * np.pi) * mu * mu)
     ev = np.sort(np.concatenate(blocks))[::-1]
-    spec = LocalizationSpectrum(W=W, T=T, N=N, eigenvalues=ev)
+    spec = LocalizationSpectrum(N=N, eigenvalues=ev)
     spec.validate()
     return spec

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import importlib.resources
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ExtentError, InputError
 
 TWO_PI = 2.0 * math.pi
+# spacing of the dense T grid of riemann_von_mangoldt_check
+RVM_STEP = 0.05
 
 
 @dataclass(frozen=True, order=True)
@@ -134,7 +136,6 @@ class BoundAudit:
     R1: np.ndarray
     R2: np.ndarray
     slack: np.ndarray          # slack[i, j] at (R1[i], R2[j])
-    eps: float
     min_slack: float
     argmin: tuple[float, float]
     C_fit: float               # smallest C with slack >= -C log^(2+eps)(4 R1 R2)
@@ -152,6 +153,10 @@ def audit_bound(
         raise DomainError("audit_bound needs step > 0 and eps > 0")
     if R1_range[0] < 1.0 or R2_range[0] < 1.0:
         raise DomainError("the bound is quantified over R1, R2 > 1")
+    if R1_range[1] < R1_range[0] or R2_range[1] < R2_range[0]:
+        raise DomainError(
+            f"audit ranges must not end before they start: R1 {R1_range}, R2 {R2_range}"
+        )
     if R1_range[1] > scheme.lambda_extent or R2_range[1] > scheme.m_extent:
         raise ExtentError(
             "audit range exceeds generated nodes: "
@@ -169,7 +174,6 @@ def audit_bound(
         R1=R1,
         R2=R2,
         slack=slack,
-        eps=eps,
         min_slack=float(slack[i, j]),
         argmin=(float(R1[i]), float(R2[j])),
         C_fit=C_fit,
@@ -180,8 +184,6 @@ def audit_bound(
 class RvmReport:
     T: np.ndarray
     margin: np.ndarray     # N(T) - [(T/2pi) log(T/(2 pi e)) - C log^(2+eps) T]
-    eps: float
-    C: float
     worst_margin: float
     worst_T: float
     C_min: float           # smallest C making the margin nonnegative everywhere
@@ -198,15 +200,15 @@ def riemann_von_mangoldt_check(
     T_range: tuple[float, float] = (1.0, 236.0),
     eps: float = 0.1,
     C: float = 10.0,
-    step: float = 0.05,
 ) -> RvmReport:
     """Audit N(T) >= (T/2pi) log(T/(2 pi e)) - C log^(2+eps) T over T_range.
 
     N is the inclusive ordinate count from the ingested table.  The margin is
-    evaluated on a dense grid plus points straddling every jump, which pins
-    the minimum of the piecewise-constant-minus-smooth margin.  T_range must
-    start at >= 1 (the correction term needs log T >= 0) and stay within the
-    table's extent.
+    evaluated on a grid of spacing RVM_STEP plus points straddling every
+    jump, which pins the minimum of the piecewise-constant-minus-smooth
+    margin.  T_range must start at >= 1 (the correction term needs
+    log T >= 0), must not end before it starts and must stay within the
+    table's extent; eps must be positive.
     """
     zeros = np.asarray(list(zeros), dtype=float)
     if len(zeros) == 0:
@@ -216,11 +218,15 @@ def riemann_von_mangoldt_check(
     lo, hi = T_range
     if lo < 1.0:
         raise DomainError("T range must start at 1 or above")
+    if hi < lo:
+        raise DomainError(f"T range ({lo:g}, {hi:g}) ends before it starts")
+    if eps <= 0:
+        raise DomainError("riemann_von_mangoldt_check needs eps > 0")
     if hi > zeros[-1]:
         raise ExtentError(
             f"T range end {hi:.6g} exceeds the table extent {zeros[-1]:.6g}"
         )
-    T = np.arange(lo, hi + step * 0.5, step)
+    T = np.arange(lo, hi + RVM_STEP * 0.5, RVM_STEP)
     straddle = np.concatenate([zeros - 1e-9, zeros + 1e-9])
     straddle = straddle[(straddle >= lo) & (straddle <= hi)]
     T = np.unique(np.concatenate([T, straddle, [hi]]))
@@ -235,8 +241,6 @@ def riemann_von_mangoldt_check(
     return RvmReport(
         T=T,
         margin=margin,
-        eps=eps,
-        C=C,
         worst_margin=float(margin[i]),
         worst_T=float(T[i]),
         C_min=C_min,

@@ -33,54 +33,6 @@ class WhitneyDecomposition:
     pieces: tuple[tuple[float, float], ...]
     large_indices: tuple[int, ...]
 
-    @property
-    def lengths(self):
-        return tuple(p[1] for p in self.pieces)
-
-    @property
-    def terminal_indices(self) -> tuple[int, int]:
-        """The two residual pieces touching -D/2 and D/2."""
-        return (0, len(self.pieces) - 1)
-
-    def large_length_sum(self) -> float:
-        return sum(self.pieces[j][1] for j in self.large_indices)
-
-    def validate(self, tol: float = 1e-12) -> None:
-        """Partition, adjacency, comparability and J' cardinality checks."""
-        D = self.D
-        scale = max(1.0, D)
-        left_end = self.pieces[0][0]
-        if abs(left_end + D / 2) > tol * scale:
-            raise AssertionError("partition does not start at -D/2")
-        pos = left_end
-        total = 0.0
-        for a, ln in self.pieces:
-            if ln <= 0:
-                raise AssertionError("non-positive piece length")
-            if abs(a - pos) > tol * scale:
-                raise AssertionError("pieces are not adjacent")
-            pos = a + ln
-            total += ln
-        if abs(pos - D / 2) > tol * scale or abs(total - D) > tol * scale:
-            raise AssertionError("pieces do not partition [-D/2, D/2]")
-        first, last = self.terminal_indices
-        for j, (a, ln) in enumerate(self.pieces):
-            if j in (first, last):
-                continue
-            mid_dist = D / 2 - abs(a + ln / 2)
-            if not (ln <= mid_dist * (1 + 1e-12) and mid_dist <= 4 * ln * (1 + 1e-12)):
-                raise AssertionError(
-                    f"piece {j} violates midpoint comparability: "
-                    f"delta={ln}, dist={mid_dist}"
-                )
-        expect_large = tuple(j for j, (_, ln) in enumerate(self.pieces) if ln >= 1.0)
-        if tuple(self.large_indices) != expect_large:
-            raise AssertionError("large_indices does not match lengths >= 1")
-        if len(self.large_indices) > 2 * math.log2(D) + 3:
-            raise AssertionError("|J'| exceeds 2 log2(D) + 3")
-        if self.large_length_sum() < D - 4:
-            raise AssertionError("sum of large piece lengths fell below D - 4")
-
 
 def whitney_decompose(D: float) -> WhitneyDecomposition:
     """Decompose [-D/2, D/2]; requires D >= 2."""
@@ -112,7 +64,6 @@ class AdmissibleSet:
     """
 
     D: float
-    C: float
     eps: float
     counts: tuple[tuple[int, int], ...]
 
@@ -144,4 +95,4 @@ def admissible_set(w: WhitneyDecomposition, C: float, eps: float) -> AdmissibleS
     counts = tuple(
         (j, admissible_count(w.pieces[j][1], threshold)) for j in w.large_indices
     )
-    return AdmissibleSet(D=w.D, C=C, eps=eps, counts=counts)
+    return AdmissibleSet(D=w.D, eps=eps, counts=counts)

@@ -72,6 +72,8 @@ PANEL_WIDTH = 0.5
 PANEL_NODES = 12
 # frequencies per phase block of _transform: a block is XI_BLOCK x (rule nodes)
 XI_BLOCK = 64
+# points of the support check on each side, over |x| in (R1, 2 R1]
+OUTSIDE_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -254,13 +256,14 @@ def select_null_vector(null_basis: np.ndarray) -> np.ndarray:
     raise DegenerateInputError("select_null_vector needs a nonempty null space")
 
 
-def solve_witness(p: WitnessProblem, n: int = DEFAULT_GRID) -> WitnessResult:
+def solve_witness(p: WitnessProblem) -> WitnessResult:
     """Unit-norm witness coefficients for p's constraints, plus audits.
 
     With a nonempty numerical null space the coefficients are
     select_null_vector of it; with an empty one they are the right singular
     vector of the smallest singular value, the least-residual unit vector.
-    The sign makes the leading entry above 1e-14 positive.
+    The sign makes the leading entry above 1e-14 positive.  The witness is
+    sampled at DEFAULT_GRID + 1 points of [-R1, R1].
     """
     atoms = p.atoms()
     A, _ = assemble_constraints(p, atoms)
@@ -272,7 +275,7 @@ def solve_witness(p: WitnessProblem, n: int = DEFAULT_GRID) -> WitnessResult:
     else:
         _, sv, Vt = np.linalg.svd(A)
         smax = float(sv[0])
-        smin = float(sv[-1]) if len(sv) == min(A.shape) else 0.0
+        smin = float(sv[-1])
         rank = int(np.sum(sv > NULL_REL_TOL * smax)) if smax > 0 else 0
         null_dim = m - rank
         coeffs = select_null_vector(Vt[rank:]) if null_dim else Vt[-1]
@@ -280,9 +283,9 @@ def solve_witness(p: WitnessProblem, n: int = DEFAULT_GRID) -> WitnessResult:
         if len(lead) and coeffs[lead[0]] < 0:
             coeffs = -coeffs
     residual = float(np.max(np.abs(A @ coeffs))) if A.shape[0] else 0.0
-    x = np.linspace(-p.R1, p.R1, n + 1)
+    x = np.linspace(-p.R1, p.R1, DEFAULT_GRID + 1)
     vals = _columns(p, atoms, x) @ coeffs
-    f = SampledFunction((-p.R1, p.R1), 2.0 * p.R1 / n, vals)
+    f = SampledFunction((-p.R1, p.R1), 2.0 * p.R1 / DEFAULT_GRID, vals)
     sup_x, sup_val = sup_norm(f)
     return WitnessResult(
         problem=p,
@@ -306,40 +309,39 @@ class TailReport:
     weighted_sum: float   # sum over stored |mu| > R2 of |F f^(k(mu))(mu)| |mu|^U
 
 
-def tail_certificate(
-    res: WitnessResult, n_xi: int = 400, k_max: int | None = None
-) -> TailReport:
+def tail_certificate(res: WitnessResult, n_xi: int = 400) -> TailReport:
     """Transform tail magnitudes over |xi| in (R2, 4 R2], plus the node tail.
 
-    F f^(k) is integrated on the rule of the constraint rows.  f is real, so
-    |F f^(k)(-xi)| = |F f^(k)(xi)| and the sweep covers xi > 0 only.
+    The sweep covers the orders k = 0 .. min(L, MAX_FT_DERIVATIVE), the node
+    tail each stored node's own order.  F f^(k) is integrated on the rule of
+    the constraint rows.  f is real, so |F f^(k)(-xi)| = |F f^(k)(xi)| and
+    the sweep covers xi > 0 only.
     """
     if res.null_dim < 1:
         raise DegenerateInputError(
             "tail certificate applies to annihilating witnesses (null_dim >= 1)"
         )
     p = res.problem
-    if k_max is None:
-        k_max = min(int(p.scheme.L), MAX_FT_DERIVATIVE)
+    n_orders = min(int(p.scheme.L), MAX_FT_DERIVATIVE) + 1
     xi = np.linspace(p.R2, 4.0 * p.R2, n_xi + 1)[1:]
     nodes = [nd for nd in p.scheme.m_nodes if abs(nd.point) > p.R2]
-    top = max([k_max] + [nd.order for nd in nodes])
+    top = max([n_orders - 1] + [nd.order for nd in nodes])
     atoms = p.atoms()
     x, w = _transform_nodes(p, atoms)
     f = (_columns(p, atoms, x) @ res.coefficients) * w
     moments = f[:, None] * (-2j * np.pi * x[:, None]) ** np.arange(top + 1)
-    sweep = np.abs(_transform(x, moments[:, : k_max + 1], xi))
-    maxima = tuple((k, float(np.max(sweep[:, k]))) for k in range(k_max + 1))
+    sweep = np.abs(_transform(x, moments[:, :n_orders], xi))
+    maxima = tuple((k, float(np.max(sweep[:, k]))) for k in range(n_orders))
     at_nodes = np.abs(_transform(x, moments, [nd.point for nd in nodes]))
     total = sum(at_nodes[i, nd.order] * abs(nd.point) ** p.scheme.U
                 for i, nd in enumerate(nodes))
     return TailReport(xi=xi, max_by_order=maxima, weighted_sum=float(total))
 
 
-def outside_support_max(res: WitnessResult, n: int = 4096) -> float:
+def outside_support_max(res: WitnessResult) -> float:
     """max |f| over |x| in (R1, 2 R1]: zero when the support claim holds."""
     p = res.problem
-    x = np.linspace(p.R1, 2.0 * p.R1, n + 1)[1:]
+    x = np.linspace(p.R1, 2.0 * p.R1, OUTSIDE_POINTS + 1)[1:]
     both = np.concatenate([-x, x])
     vals = _columns(p, p.atoms(), both) @ res.coefficients
     return float(np.max(np.abs(vals)))

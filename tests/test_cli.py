@@ -1,10 +1,14 @@
 import importlib.resources
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import tfloc
 from tfloc.cli import THREAD_ENV_VARS, main
 
 WHITNEY_D8 = """\
@@ -101,6 +105,21 @@ def test_input_errors_exit_1(tmp_path, capsys):
     assert main(["zeta", "--T-max", "50", "--eps", "0.1",
                  "--zeros-file", str(missing)]) == 1
     assert "absent.txt" in capsys.readouterr().err
+    out_of_range = [
+        ["bound", "--scheme", "rv", "--R1-max", "0.5", "--R2-max", "3",
+         "--step", "0.1", "--eps", "0.1"],
+        ["bound", "--scheme", "rv", "--R1-max", "3", "--R2-max", "0.9",
+         "--step", "0.1", "--eps", "0.1"],
+        ["zeta", "--T-max", "0.99", "--eps", "0.1", "--json"],
+        ["zeta", "--T-max", "50", "--eps", "-1"],
+        ["basis", "check", "--D", "32", "--eta", "0.3", "--count", "5", "--n", "0"],
+        ["basis", "check", "--D", "32", "--eta", "0.3", "--count", "5", "--n", "-3"],
+        ["decay", "fit", "--D", "32", "--eta", "0.3", "--j", "5", "--k", "0", "--n", "0"],
+    ]
+    for argv in out_of_range:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"tfloc {argv[0]}: "), argv
 
 
 def test_property_failures_exit_2(capsys):
@@ -135,3 +154,14 @@ def test_bad_thread_counts_exit_1(monkeypatch, capsys):
     monkeypatch.setenv("TFLOC_THREADS", "lots")
     assert main(["whitney", "--D", "4"]) == 1
     capsys.readouterr()
+
+
+def test_import_loads_no_numpy():
+    # --threads must set the BLAS thread variables before numpy first loads
+    env = dict(os.environ)
+    src = str(Path(tfloc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, tfloc, tfloc.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -17,7 +17,7 @@ def test_recovers_known_stretched_exponential():
     a, p = 0.8, 0.55
     u, mag = _synthetic(a, p)
     ue, me = envelope_points(u, mag)
-    fit = fit_decay(ue, me, with_prefactor=False)
+    fit = fit_decay(ue, me)
     assert abs(fit.exponent - p) <= 0.01
     assert abs(fit.rate - a) < 0.05 * a
     assert isinstance(fit, DecayFit)
@@ -37,7 +37,7 @@ def test_recovers_with_prefactor_pinned():
 def test_pinned_exponent_rate_positive():
     u, mag = _synthetic(2.0, 0.5)
     ue, me = envelope_points(u, mag)
-    fit = fit_decay(ue, me, exponent=0.5, with_prefactor=False)
+    fit = fit_decay(ue, me, exponent=0.5)
     assert fit.exponent == 0.5
     assert fit.rate == pytest.approx(2.0, rel=1e-6)
 
@@ -52,7 +52,7 @@ def test_envelope_rides_oscillation_peaks():
     ue, me = envelope_points(u, mag, u_min=25.0)
     ref = np.exp(-0.9 * np.sqrt(ue))
     assert np.all(me > 0.5 * ref)
-    fit = fit_decay(ue, me, exponent=0.5, with_prefactor=False)
+    fit = fit_decay(ue, me, exponent=0.5)
     assert abs(fit.rate - 0.9) < 0.08
 
 
@@ -66,14 +66,14 @@ def test_growth_has_no_decaying_fit():
     u = np.linspace(1.0, 50.0, 500)
     mag = 1e-6 * np.exp(0.2 * u)  # growing: no positive decay rate exists
     with pytest.raises(DecayViolationError):
-        fit_decay(u, mag, with_prefactor=False)
+        fit_decay(u, mag)
 
 
 def test_u_range_reported():
     u, mag = _synthetic(1.0, 0.6)
     ue, me = envelope_points(u, mag, u_min=5.0)
     assert ue.min() >= 5.0
-    fit = fit_decay(ue, me, exponent=0.6, with_prefactor=False)
+    fit = fit_decay(ue, me, exponent=0.6)
     lo, hi = fit.u_range
     assert lo == pytest.approx(float(ue.min()))
     assert hi == pytest.approx(float(ue.max()))

@@ -88,9 +88,9 @@ def test_plunge_count_logarithmic_to_1024():
 
 def test_resolution_and_domain_errors():
     with pytest.raises(ResolutionError):
-        LocalizationSpectrum(1.0, 1.0, 2, np.array([1.0 + 1e-6, 0.5])).validate()
+        LocalizationSpectrum(2, np.array([1.0 + 1e-6, 0.5])).validate()
     with pytest.raises(ResolutionError):
-        LocalizationSpectrum(1.0, 1.0, 2, np.array([0.5, 0.6])).validate()
+        LocalizationSpectrum(2, np.array([0.5, 0.6])).validate()
     with pytest.raises(DomainError):
         localization_spectrum(-1.0, 1.0)
     with pytest.raises(DomainError):

@@ -114,7 +114,7 @@ def test_edge_transform_decay_positive_and_stable(eta):
         xi, vals = ft_grid(f, pad=8)
         keep = (np.abs(xi) >= 10.0) & (np.abs(xi) <= 1e3)
         u, mag = envelope_points(np.abs(xi[keep]), np.abs(vals[keep]))
-        fit = fit_decay(u, mag, exponent=1.0 - eta, with_prefactor=False)
+        fit = fit_decay(u, mag, exponent=1.0 - eta)
         assert fit.rate > 0.0
         rates.append(fit.rate)
     assert abs(rates[1] - rates[0]) < 0.25 * rates[0]
