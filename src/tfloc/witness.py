@@ -21,10 +21,16 @@ whichever part its moment parity leaves nontrivial.  Row count therefore
 equals n_Lambda(R1) + n_M(R2), entries counted with multiplicity.
 
 Every transform the witness certifies, the constraint rows at |mu| <= R2
-and the tail beyond R2, is one phase sum (_transform) over the nodes of a
-composite Gauss-Legendre rule on the union of the atoms' bell supports
+and the tail beyond R2, is a phase sum over the nodes of a composite
+Gauss-Legendre rule on the union of the atoms' bell supports
 (_transform_nodes): a row integrates an atom against
-(-2 pi i x)^k e^(-2 pi i mu x), the tail integrates f itself.  Each bell's
+(-2 pi i x)^k e^(-2 pi i mu x), the tail integrates f itself.  Each is
+batched into a few large array operations: the M rows are one product of
+their (rows x nodes) phase matrix with the weighted atom columns, the
+lambda rows one atom evaluation per derivative order, the tail sweep over
+its uniform frequencies factors each block's phases into one exponential
+row times phases built once (_sweep), and the node tail, at frequencies with
+no common spacing, is one blocked phase GEMM (_transform).  Each bell's
 Gevrey ramp turns over within about 1e-3 of its junction radius r, far
 below any uniform grid step, so the panels are graded geometrically toward
 every junction center, down to r 2^-GRADE_LEVELS.  Rows and tail agree
@@ -154,8 +160,12 @@ def _transform_nodes(p: WitnessProblem, atoms) -> tuple[np.ndarray, np.ndarray]:
                         for l in range(GRADE_LEVELS + 1) for s in (-1.0, 1.0))
     cuts = np.array(sorted(cuts))
     split = np.ceil(np.diff(cuts) / PANEL_WIDTH).astype(int)
-    edges = np.concatenate([np.linspace(a, b, m, endpoint=False)
-                            for a, b, m in zip(cuts[:-1], cuts[1:], split)] + [cuts[-1:]])
+    # each gap's panel edges as np.linspace(a, b, m, endpoint=False) forms
+    # them, j (b - a) / m + a for j < m, for every gap at once
+    first = np.repeat(np.cumsum(split) - split, split)
+    j = np.arange(first.size, dtype=float) - first
+    edges = np.append(j * np.repeat(np.diff(cuts) / split, split)
+                      + np.repeat(cuts[:-1], split), cuts[-1])
     g, gw = np.polynomial.legendre.leggauss(PANEL_NODES)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     t = (mid[:, None] + half[:, None] * g).ravel()
@@ -171,7 +181,10 @@ def _transform(x, g, xi) -> np.ndarray:
     (nodes, m); the result has shape xi.shape + g.shape[1:].
 
     With x, w from _transform_nodes and g = w h, this is the transform of h.
-    The phases are built XI_BLOCK frequencies at a time, one GEMM each.
+    It serves frequencies with no common spacing, the node tail; the phases
+    are built XI_BLOCK frequencies at a time, one GEMM each.  The constraint
+    rows multiply their own phase matrix into the atom columns, and the
+    uniform tail sweep goes through _sweep.
     """
     xi = np.asarray(xi, dtype=float)
     flat = xi.ravel()
@@ -181,36 +194,52 @@ def _transform(x, g, xi) -> np.ndarray:
     return out.reshape(xi.shape + g.shape[1:])
 
 
+def _sweep(x, g, start: float, step: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xi, _transform(x, g, xi)) on the uniform grid xi_b = start + b step,
+    b = 1 .. n, for g of shape (nodes, m).
+
+    A block's phases factor as
+    e^(-2 pi i (xi_s + j step) x) = e^(-2 pi i xi_s x) e^(-2 pi i j step x),
+    j < XI_BLOCK, with xi_s the block's first frequency: the j-phases are
+    built once, and a block costs one exponential row, folded into g, and
+    one GEMM.
+    """
+    fine = np.exp(-2j * np.pi * np.outer(step * np.arange(min(n, XI_BLOCK)), x))
+    out = np.empty((n, g.shape[1]), dtype=complex)
+    for s in range(0, n, XI_BLOCK):
+        coarse = np.exp(-2j * np.pi * (start + (s + 1) * step) * x)
+        out[s : s + XI_BLOCK] = fine[: n - s] @ (coarse[:, None] * g)
+    return start + step * np.arange(1, n + 1), out
+
+
 def assemble_constraints(p: WitnessProblem, atoms) -> tuple[np.ndarray, tuple]:
     """Real constraint matrix (rows = constraint entries, cols = atoms).
 
     Returns (matrix, labels); labels[i] = ('lambda'|'m', point, order, part).
+    The lambda rows are one _columns call per derivative order; the M rows
+    are one product of their real phase rows, Re or Im of
+    e^(-2 pi i |mu| x) (-2 pi i x)^k on the rule's nodes, with the weighted
+    atom columns.
     """
     if len(atoms) == 0:
         raise DegenerateInputError("assemble_constraints needs a nonempty atom set")
+    lam = [nd for nd in p.scheme.lambda_nodes if abs(nd.point) <= p.R1]
+    lam_rows = np.empty((len(lam), len(atoms)))
+    for order in {nd.order for nd in lam}:
+        at = [i for i, nd in enumerate(lam) if nd.order == order]
+        lam_rows[at] = _columns(p, atoms, np.array([lam[i].point for i in at]), order)
+    labels = [("lambda", nd.point, nd.order, "re") for nd in lam]
+    m = [nd for nd in p.scheme.m_nodes if abs(nd.point) <= p.R2]
+    real = np.array([nd.point > 0 or (nd.point == 0.0 and nd.order % 2 == 0) for nd in m],
+                    dtype=bool)
+    labels += [("m", nd.point, nd.order, "re" if re else "im") for nd, re in zip(m, real)]
     x, w = _transform_nodes(p, atoms)
     weighted = w[:, None] * _columns(p, atoms, x)
-    rows, labels = [], []
-    for nd in p.scheme.lambda_nodes:
-        if abs(nd.point) > p.R1:
-            continue
-        rows.append(_columns(p, atoms, nd.point, nd.order))
-        labels.append(("lambda", nd.point, nd.order, "re"))
-    for nd in p.scheme.m_nodes:
-        if abs(nd.point) > p.R2:
-            continue
-        crow = _transform(x, weighted * ((-2j * np.pi * x) ** nd.order)[:, None], abs(nd.point))
-        if nd.point > 0 or (nd.point == 0.0 and nd.order % 2 == 0):
-            rows.append(crow.real)
-            labels.append(("m", nd.point, nd.order, "re"))
-        else:
-            rows.append(crow.imag)
-            labels.append(("m", nd.point, nd.order, "im"))
-    if rows:
-        matrix = np.vstack(rows)
-    else:
-        matrix = np.zeros((0, len(atoms)))
-    return matrix, tuple(labels)
+    mu = np.array([abs(nd.point) for nd in m])
+    k = np.array([nd.order for nd in m], dtype=int)
+    phase = np.exp(-2j * np.pi * np.outer(mu, x)) * (-2j * np.pi * x) ** k[:, None]
+    m_rows = np.where(real[:, None], phase.real, phase.imag) @ weighted
+    return np.vstack([lam_rows, m_rows]), tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -317,21 +346,22 @@ def tail_certificate(res: WitnessResult, n_xi: int = 400) -> TailReport:
     the constraint rows.  f is real, so |F f^(k)(-xi)| = |F f^(k)(xi)| and
     the sweep covers xi > 0 only.
     """
+    if n_xi < 1:
+        raise DomainError(f"tail sweep needs n_xi >= 1 frequencies, got {n_xi}")
     if res.null_dim < 1:
         raise DegenerateInputError(
             "tail certificate applies to annihilating witnesses (null_dim >= 1)"
         )
     p = res.problem
     n_orders = min(int(p.scheme.L), MAX_FT_DERIVATIVE) + 1
-    xi = np.linspace(p.R2, 4.0 * p.R2, n_xi + 1)[1:]
     nodes = [nd for nd in p.scheme.m_nodes if abs(nd.point) > p.R2]
     top = max([n_orders - 1] + [nd.order for nd in nodes])
     atoms = p.atoms()
     x, w = _transform_nodes(p, atoms)
     f = (_columns(p, atoms, x) @ res.coefficients) * w
     moments = f[:, None] * (-2j * np.pi * x[:, None]) ** np.arange(top + 1)
-    sweep = np.abs(_transform(x, moments[:, :n_orders], xi))
-    maxima = tuple((k, float(np.max(sweep[:, k]))) for k in range(n_orders))
+    xi, sweep = _sweep(x, moments[:, :n_orders], p.R2, 3.0 * p.R2 / n_xi, n_xi)
+    maxima = tuple((k, float(np.max(np.abs(sweep[:, k])))) for k in range(n_orders))
     at_nodes = np.abs(_transform(x, moments, [nd.point for nd in nodes]))
     total = sum(at_nodes[i, nd.order] * abs(nd.point) ** p.scheme.U
                 for i, nd in enumerate(nodes))
@@ -360,6 +390,8 @@ def thin_scheme(
     """
     if not 0.0 <= fraction < 1.0:
         raise DomainError("thinning fraction must lie in [0, 1)")
+    if seed < 0:
+        raise DomainError(f"thinning seed must be >= 0, got {seed}")
     sides = {"lambda": list(scheme.lambda_nodes), "m": list(scheme.m_nodes)}
     radii = {"lambda": R1, "m": R2}
     orbits: dict[tuple, list[tuple[str, int]]] = {}

@@ -115,6 +115,8 @@ def test_input_errors_exit_1(tmp_path, capsys):
         ["basis", "check", "--D", "32", "--eta", "0.3", "--count", "5", "--n", "0"],
         ["basis", "check", "--D", "32", "--eta", "0.3", "--count", "5", "--n", "-3"],
         ["decay", "fit", "--D", "32", "--eta", "0.3", "--j", "5", "--k", "0", "--n", "0"],
+        ["witness", "--scheme", "rv", "--R1", "3", "--R2", "3", "--C", "0.22",
+         "--eps", "0.1", "--thin", "0.2", "--seed", "-1"],
     ]
     for argv in out_of_range:
         assert main(argv) == 1, argv

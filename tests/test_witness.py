@@ -173,7 +173,8 @@ def test_witness_independent_of_blas_threads():
         for key in ("l2", "sup_x", "sup_value"):
             assert a[key] == pytest.approx(b[key], abs=1e-12, rel=0)
         assert np.max(np.abs(np.subtract(a["coefficients"], b["coefficients"]))) < 1e-12
-        # the tail sums go through a threaded zgemm in witness._transform
+        # the rows, the tail sweep and the node tail are threaded GEMMs
+        # (witness.assemble_constraints, witness._sweep, witness._transform)
         assert a["tail_max"] == pytest.approx(b["tail_max"], rel=1e-12, abs=0)
         assert a["tail_weighted_sum"] == pytest.approx(b["tail_weighted_sum"], rel=1e-12, abs=0)
 
@@ -253,6 +254,82 @@ def test_tail_certificate(thin_none, full_none):
     assert len(rep.xi) == 200
     with pytest.raises(DegenerateInputError):
         tail_certificate(full_none)
+    for n_xi in (0, -5):
+        with pytest.raises(DomainError):
+            tail_certificate(thin_none, n_xi=n_xi)
+
+
+def _tail_moments(r):
+    """Rule nodes x and the witness's weighted moments f w (-2 pi i x)^k, k < 3."""
+    p = r.problem
+    atoms = p.atoms()
+    x, w = witness._transform_nodes(p, atoms)
+    f = (witness._columns(p, atoms, x) @ r.coefficients) * w
+    return x, f[:, None] * (-2j * np.pi * x[:, None]) ** np.arange(3)
+
+
+@pytest.mark.parametrize("n_xi", [1, 63, 64, 65, 400])
+def test_sweep_matches_transform(thin_even, n_xi):
+    # the factored blocks against the direct phase sum at the same frequencies,
+    # across the XI_BLOCK = 64 block boundary
+    x, g = _tail_moments(thin_even)
+    R2 = thin_even.problem.R2
+    step = 3.0 * R2 / n_xi
+    xi, got = witness._sweep(x, g, R2, step, n_xi)
+    assert np.array_equal(xi, R2 + step * np.arange(1, n_xi + 1))
+    want = witness._transform(x, g, xi)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_xi", [1, 65, 400])
+def test_tail_xi_are_the_swept_frequencies(thin_none, n_xi):
+    rep = tail_certificate(thin_none, n_xi=n_xi)
+    R2 = thin_none.problem.R2
+    assert len(rep.xi) == n_xi
+    assert rep.xi[0] > R2 and rep.xi[-1] == pytest.approx(4.0 * R2, rel=1e-15)
+    x, g = _tail_moments(thin_none)
+    direct = np.abs(witness._transform(x, g, rep.xi))
+    for k, got in rep.max_by_order:
+        # sum |g_k| bounds every |F f^(k)| and sets the rounding scale
+        assert abs(got - np.max(direct[:, k])) <= 1e-13 * np.sum(np.abs(g[:, k]))
+
+
+# every order at interleaved points, so rows batched by order must scatter
+# back into node order; the entries beyond the radii make no rows
+MIXED_ORDERS = InterpolationScheme(
+    lambda_nodes=tuple(Node(s * x, (i + j) % 3) for i, x in enumerate((0.0, 0.7, 1.9, 2.8, 3.5))
+                       for j, s in enumerate((1.0, -1.0)) if x or s > 0),
+    m_nodes=tuple(Node(s * mu, k) for mu in (0.0, 0.4, 1.3, 2.6, 3.2) for k in (2, 0, 1)
+                  for s in (1.0, -1.0) if mu or s > 0),
+    L=2.0,
+)
+
+
+@pytest.mark.parametrize("parity", ["none", "even", "odd"])
+def test_rows_match_per_node_reference(parity):
+    # the batched rows against one _columns call per lambda node and one
+    # _transform call per M node, each at its own scalar point
+    p = WitnessProblem(MIXED_ORDERS, 3.0, 3.0, 0.22 if parity == "none" else 0.10, 0.1, parity)
+    atoms = p.atoms()
+    A, labels = assemble_constraints(p, atoms)
+    x, w = witness._transform_nodes(p, atoms)
+    weighted = w[:, None] * witness._columns(p, atoms, x)
+    rows, want_labels = [], []
+    for nd in p.scheme.lambda_nodes:
+        if abs(nd.point) <= p.R1:
+            rows.append(witness._columns(p, atoms, nd.point, nd.order))
+            want_labels.append(("lambda", nd.point, nd.order, "re"))
+    for nd in p.scheme.m_nodes:
+        if abs(nd.point) <= p.R2:
+            g = weighted * ((-2j * np.pi * x) ** nd.order)[:, None]
+            crow = witness._transform(x, g, abs(nd.point))
+            re = nd.point > 0 or (nd.point == 0.0 and nd.order % 2 == 0)
+            rows.append(crow.real if re else crow.imag)
+            want_labels.append(("m", nd.point, nd.order, "re" if re else "im"))
+    assert labels == tuple(want_labels)
+    assert len(labels) == p.constraint_count == 28
+    ref = np.vstack(rows)
+    assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _lambda_rows(parity, nodes):
@@ -441,6 +518,8 @@ def test_thinning_contract():
         thin_scheme(SCHEME, -0.1, 3.0, 3.0, seed=0)
     with pytest.raises(DomainError):
         thin_scheme(SCHEME, 1.0, 3.0, 3.0, seed=0)
+    with pytest.raises(DomainError):
+        thin_scheme(SCHEME, 0.2, 3.0, 3.0, seed=-1)
     again = thin_scheme(SCHEME, 0.2, 3.0, 3.0, seed=20260)
     assert again.lambda_nodes == THINNED.lambda_nodes
     assert again.m_nodes == THINNED.m_nodes
