@@ -15,8 +15,10 @@ A = ceil(n / B), the sum splits into A coarse phases times B fine ones, so
 each xi costs A + B complex exponentials instead of n, each block of 1024 xi
 one complex GEMM, and no phase block is larger than 1024 x ceil(sqrt(n)).
 It is the same trapezoid sum as the direct n-term phase matrix and agrees
-with it to roundoff.  ``ft_grid`` is an FFT-based accelerator for dense
-uniform frequency sweeps and reproduces ``ft_at`` values to roundoff.
+with it to roundoff.  ``ft_grid`` computes the same trapezoid sum on the
+FFT's uniform frequencies: the two end samples are halved before a
+zero-padded FFT, and one phase e^{-2 pi i xi x0} per frequency moves the
+sum to the window.  It reproduces ``ft_at`` values to roundoff.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ class SampledFunction:
     """Uniform samples of a function supported inside [support[0], support[1]].
 
     samples[0] and samples[-1] must vanish up to a relative tolerance: the
-    quadrature identities (and the FFT sweep endpoint handling) assume there
-    is no mass at or beyond the window edges.
+    quadrature identities assume there is no mass at or beyond the window
+    edges.
     """
 
     support: tuple[float, float]
@@ -153,22 +155,19 @@ def ft_grid(f: SampledFunction, m: int = 0, pad: int = 8):
     """Dense F f^(m) sweep via zero-padded FFT.
 
     Returns (xi, values) with xi ascending and spacing 1 / (pad_len * step).
-    Identical to ft_at on the same xi up to roundoff: the FFT computes the
-    rectangle rule and the two endpoint terms are corrected explicitly.
+    Identical to ft_at on the same xi up to roundoff: the two end samples
+    are halved before the FFT, so it computes the trapezoid rule itself.
     """
     g = _moment_samples(f, m)
     n = len(g)
     if pad < 1:
         raise InputError("pad must be >= 1")
+    g[0] *= 0.5
+    g[-1] *= 0.5
     pad_len = 1 << int(np.ceil(np.log2(n * pad)))
     spec = np.fft.fft(g, pad_len)
     xi = np.fft.fftfreq(pad_len, d=f.step)
-    x0, x1 = f.support
-    vals = f.step * spec * np.exp(-2j * np.pi * xi * x0)
-    # rectangle -> trapezoid: halve the two endpoint contributions
-    vals -= 0.5 * f.step * (
-        g[0] * np.exp(-2j * np.pi * xi * x0) + g[-1] * np.exp(-2j * np.pi * xi * x1)
-    )
+    vals = f.step * spec * np.exp(-2j * np.pi * xi * f.support[0])
     order = np.argsort(xi, kind="stable")
     return xi[order], vals[order]
 

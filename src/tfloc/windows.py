@@ -107,7 +107,6 @@ class BellWindow:
     cosine interval of the piece's atoms is [lc, rc].
     """
 
-    index: int
     left_center: float
     left_radius: float
     right_center: float
@@ -117,10 +116,6 @@ class BellWindow:
     @property
     def support(self) -> tuple[float, float]:
         return (self.left_center - self.left_radius, self.right_center + self.right_radius)
-
-    @property
-    def core(self) -> tuple[float, float]:
-        return (self.left_center + self.left_radius, self.right_center - self.right_radius)
 
     @property
     def cosine_interval(self) -> tuple[float, float]:
@@ -177,7 +172,6 @@ def build_bells(w: WhitneyDecomposition, eta: float) -> list[BellWindow]:
             radii.append(min(prev_len, next_len) / 4.0)
     return [
         BellWindow(
-            index=j,
             left_center=centers[j],
             left_radius=radii[j],
             right_center=centers[j + 1],

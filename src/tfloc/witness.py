@@ -25,12 +25,13 @@ and the tail beyond R2, is a phase sum over the nodes of a composite
 Gauss-Legendre rule on the union of the atoms' bell supports
 (_transform_nodes): a row integrates an atom against
 (-2 pi i x)^k e^(-2 pi i mu x), the tail integrates f itself.  Each is
-batched into a few large array operations: the M rows are one product of
-their (rows x nodes) phase matrix with the weighted atom columns, the
-lambda rows one atom evaluation per derivative order, the tail sweep over
-its uniform frequencies factors each block's phases into one exponential
-row times phases built once (_sweep), and the node tail, at frequencies with
-no common spacing, is one blocked phase GEMM (_transform).  Each bell's
+batched into a few large array operations: the lambda rows are one atom
+evaluation per derivative order, the M rows one product of their phase
+matrix (_phases, one row per node at its own point and order) with the
+weighted atom columns, the node tail the same phases times f, XI_BLOCK
+nodes at a time, and the tail sweep over its uniform frequencies factors
+each block's phases into one exponential row times phases built once
+(_sweep).  Each bell's
 Gevrey ramp turns over within about 1e-3 of its junction radius r, far
 below any uniform grid step, so the panels are graded geometrically toward
 every junction center, down to r 2^-GRADE_LEVELS.  Rows and tail agree
@@ -76,7 +77,8 @@ PARITIES = ("none", "even", "odd")
 GRADE_LEVELS = 12
 PANEL_WIDTH = 0.5
 PANEL_NODES = 12
-# frequencies per phase block of _transform: a block is XI_BLOCK x (rule nodes)
+# frequencies per phase block of _sweep and of the node tail: a block is
+# XI_BLOCK x (rule nodes), so memory does not grow with the tail's node count
 XI_BLOCK = 64
 # points of the support check on each side, over |x| in (R1, 2 R1]
 OUTSIDE_POINTS = 4096
@@ -176,29 +178,19 @@ def _transform_nodes(p: WitnessProblem, atoms) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x, x]), np.concatenate([w, w])
 
 
-def _transform(x, g, xi) -> np.ndarray:
-    """sum_i g_i e^(-2 pi i xi x_i) at each xi, for g of shape (nodes,) or
-    (nodes, m); the result has shape xi.shape + g.shape[1:].
-
-    With x, w from _transform_nodes and g = w h, this is the transform of h.
-    It serves frequencies with no common spacing, the node tail; the phases
-    are built XI_BLOCK frequencies at a time, one GEMM each.  The constraint
-    rows multiply their own phase matrix into the atom columns, and the
-    uniform tail sweep goes through _sweep.
+def _phases(x, mu, k) -> np.ndarray:
+    """e^(-2 pi i mu x) (-2 pi i x)^k at the rule nodes x, one row per pair
+    (mu, k); a row times w h is the order-k transform derivative of h at mu.
     """
-    xi = np.asarray(xi, dtype=float)
-    flat = xi.ravel()
-    out = np.empty(flat.shape + g.shape[1:], dtype=complex)
-    for s in range(0, len(flat), XI_BLOCK):
-        out[s : s + XI_BLOCK] = np.exp(-2j * np.pi * np.outer(flat[s : s + XI_BLOCK], x)) @ g
-    return out.reshape(xi.shape + g.shape[1:])
+    return np.exp(-2j * np.pi * np.outer(mu, x)) * (-2j * np.pi * x) ** np.asarray(k)[:, None]
 
 
 def _sweep(x, g, start: float, step: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xi, _transform(x, g, xi)) on the uniform grid xi_b = start + b step,
-    b = 1 .. n, for g of shape (nodes, m).
+    """(xi, sum_i g_i e^(-2 pi i xi x_i)) on the uniform grid
+    xi_b = start + b step, b = 1 .. n, for g of shape (nodes, m).
 
-    A block's phases factor as
+    It is the one evaluator for uniform frequencies, the tail sweep.  A
+    block's phases factor as
     e^(-2 pi i (xi_s + j step) x) = e^(-2 pi i xi_s x) e^(-2 pi i j step x),
     j < XI_BLOCK, with xi_s the block's first frequency: the j-phases are
     built once, and a block costs one exponential row, folded into g, and
@@ -217,9 +209,8 @@ def assemble_constraints(p: WitnessProblem, atoms) -> tuple[np.ndarray, tuple]:
 
     Returns (matrix, labels); labels[i] = ('lambda'|'m', point, order, part).
     The lambda rows are one _columns call per derivative order; the M rows
-    are one product of their real phase rows, Re or Im of
-    e^(-2 pi i |mu| x) (-2 pi i x)^k on the rule's nodes, with the weighted
-    atom columns.
+    are one product of their real phase rows, Re or Im of _phases at |mu|,
+    with the weighted atom columns.
     """
     if len(atoms) == 0:
         raise DegenerateInputError("assemble_constraints needs a nonempty atom set")
@@ -235,9 +226,7 @@ def assemble_constraints(p: WitnessProblem, atoms) -> tuple[np.ndarray, tuple]:
     labels += [("m", nd.point, nd.order, "re" if re else "im") for nd, re in zip(m, real)]
     x, w = _transform_nodes(p, atoms)
     weighted = w[:, None] * _columns(p, atoms, x)
-    mu = np.array([abs(nd.point) for nd in m])
-    k = np.array([nd.order for nd in m], dtype=int)
-    phase = np.exp(-2j * np.pi * np.outer(mu, x)) * (-2j * np.pi * x) ** k[:, None]
+    phase = _phases(x, [abs(nd.point) for nd in m], [nd.order for nd in m])
     m_rows = np.where(real[:, None], phase.real, phase.imag) @ weighted
     return np.vstack([lam_rows, m_rows]), tuple(labels)
 
@@ -341,10 +330,11 @@ class TailReport:
 def tail_certificate(res: WitnessResult, n_xi: int = 400) -> TailReport:
     """Transform tail magnitudes over |xi| in (R2, 4 R2], plus the node tail.
 
-    The sweep covers the orders k = 0 .. min(L, MAX_FT_DERIVATIVE), the node
-    tail each stored node's own order.  F f^(k) is integrated on the rule of
-    the constraint rows.  f is real, so |F f^(k)(-xi)| = |F f^(k)(xi)| and
-    the sweep covers xi > 0 only.
+    The sweep covers the orders k = 0 .. min(L, MAX_FT_DERIVATIVE) through
+    _sweep; the node tail takes each stored node at its own signed point and
+    order through the constraint rows' _phases, XI_BLOCK nodes per product.
+    F f^(k) is integrated on the rule of the constraint rows.  f is real, so
+    |F f^(k)(-xi)| = |F f^(k)(xi)| and the sweep covers xi > 0 only.
     """
     if n_xi < 1:
         raise DomainError(f"tail sweep needs n_xi >= 1 frequencies, got {n_xi}")
@@ -354,17 +344,18 @@ def tail_certificate(res: WitnessResult, n_xi: int = 400) -> TailReport:
         )
     p = res.problem
     n_orders = min(int(p.scheme.L), MAX_FT_DERIVATIVE) + 1
-    nodes = [nd for nd in p.scheme.m_nodes if abs(nd.point) > p.R2]
-    top = max([n_orders - 1] + [nd.order for nd in nodes])
     atoms = p.atoms()
     x, w = _transform_nodes(p, atoms)
     f = (_columns(p, atoms, x) @ res.coefficients) * w
-    moments = f[:, None] * (-2j * np.pi * x[:, None]) ** np.arange(top + 1)
-    xi, sweep = _sweep(x, moments[:, :n_orders], p.R2, 3.0 * p.R2 / n_xi, n_xi)
+    moments = f[:, None] * (-2j * np.pi * x[:, None]) ** np.arange(n_orders)
+    xi, sweep = _sweep(x, moments, p.R2, 3.0 * p.R2 / n_xi, n_xi)
     maxima = tuple((k, float(np.max(np.abs(sweep[:, k])))) for k in range(n_orders))
-    at_nodes = np.abs(_transform(x, moments, [nd.point for nd in nodes]))
-    total = sum(at_nodes[i, nd.order] * abs(nd.point) ** p.scheme.U
-                for i, nd in enumerate(nodes))
+    nodes = [nd for nd in p.scheme.m_nodes if abs(nd.point) > p.R2]
+    total = 0.0
+    for s in range(0, len(nodes), XI_BLOCK):
+        block = nodes[s : s + XI_BLOCK]
+        at = np.abs(_phases(x, [nd.point for nd in block], [nd.order for nd in block]) @ f)
+        total += sum(a * abs(nd.point) ** p.scheme.U for a, nd in zip(at, block))
     return TailReport(xi=xi, max_by_order=maxima, weighted_sum=float(total))
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfloc.errors import InputError, UnsupportedOrderError
-from tfloc.fourier import (MAX_FT_DERIVATIVE, SampledFunction, ft_at, ft_grid, l2_norm,
-                           sup_norm)
+from tfloc.fourier import (_ENDPOINT_REL_TOL, MAX_FT_DERIVATIVE, SampledFunction, ft_at,
+                           ft_grid, l2_norm, sup_norm)
 
 GAUSS_TOL = 1e-6
 
@@ -138,6 +138,25 @@ def test_ft_grid_matches_ft_at():
     pick = slice(len(xi) // 2 - 50, len(xi) // 2 + 50, 7)
     direct = ft_at(f, xi[pick])
     assert np.max(np.abs(vals[pick] - direct)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_ft_grid_end_weights(m):
+    # a bump whose end samples are nonzero but inside _ENDPOINT_REL_TOL, so
+    # the half weights of the trapezoid ends show; the Gaussian's ends are
+    # near 1e-88 and cannot tell a half weight from a whole one.  Complex
+    # samples, so a moment that aliased f.samples would be halved in place.
+    f = SampledFunction.from_callable(
+        lambda x: (1.0 + 0.3 * x) * np.exp(-np.pi * x**2 + 1.4j * np.pi * x), (-2.25, 2.3),
+        n=1 << 12)
+    assert 0.0 < min(abs(f.samples[0]), abs(f.samples[-1]))
+    assert max(abs(f.samples[0]), abs(f.samples[-1])) < _ENDPOINT_REL_TOL * np.max(np.abs(f.samples))
+    before = f.samples.copy()
+    xi, vals = ft_grid(f, m=m, pad=2)
+    assert np.array_equal(f.samples, before)
+    pick = np.linspace(0, len(xi) - 1, 97).round().astype(int)
+    scale = float(np.sum(f.weights * np.abs(f.samples * (2.0 * np.pi * f.grid) ** m)))
+    assert np.max(np.abs(vals[pick] - ft_at(f, xi[pick], m=m))) <= 1e-12 * scale
 
 
 def test_plancherel_gaussian():

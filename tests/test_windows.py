@@ -59,7 +59,8 @@ def test_bell_value_support_and_core():
     lo, hi = b.support
     assert b.value(lo - 0.1) == 0.0
     assert b.value(hi + 0.1) == 0.0
-    core_lo, core_hi = b.core
+    core_lo = b.left_center + b.left_radius
+    core_hi = b.right_center - b.right_radius
     assert b.value(0.5 * (core_lo + core_hi)) == 1.0
     assert 0.0 <= float(np.min(b.value(np.linspace(lo, hi, 2001))))
     assert float(np.max(b.value(np.linspace(lo, hi, 2001)))) <= 1.0
@@ -79,8 +80,8 @@ def test_bells_confined_to_interval():
     assert bells[0].support[0] >= -D / 2 - 1e-12
     assert bells[-1].support[1] <= D / 2 + 1e-12
     edge = np.array([-D / 2, D / 2])
-    for b in bells:
-        assert np.all(b.value(edge) == 0.0) or b.index in (0, len(bells) - 1)
+    for j, b in enumerate(bells):
+        assert np.all(b.value(edge) == 0.0) or j in (0, len(bells) - 1)
     # boundary bells vanish exactly at the edges too
     assert bells[0].value(-D / 2) == 0.0
     assert bells[-1].value(D / 2) == 0.0

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import json
 import math
@@ -173,8 +174,8 @@ def test_witness_independent_of_blas_threads():
         for key in ("l2", "sup_x", "sup_value"):
             assert a[key] == pytest.approx(b[key], abs=1e-12, rel=0)
         assert np.max(np.abs(np.subtract(a["coefficients"], b["coefficients"]))) < 1e-12
-        # the rows, the tail sweep and the node tail are threaded GEMMs
-        # (witness.assemble_constraints, witness._sweep, witness._transform)
+        # the rows and the node tail are threaded phase GEMMs (witness._phases)
+        # and so is each block of the tail sweep (witness._sweep)
         assert a["tail_max"] == pytest.approx(b["tail_max"], rel=1e-12, abs=0)
         assert a["tail_weighted_sum"] == pytest.approx(b["tail_weighted_sum"], rel=1e-12, abs=0)
 
@@ -268,6 +269,11 @@ def _tail_moments(r):
     return x, f[:, None] * (-2j * np.pi * x[:, None]) ** np.arange(3)
 
 
+def _phase_sum(x, g, xi):
+    """sum_i g_i e^(-2 pi i xi x_i) at each xi: one unblocked phase matrix."""
+    return np.exp(-2j * np.pi * np.multiply.outer(xi, x)) @ g
+
+
 @pytest.mark.parametrize("n_xi", [1, 63, 64, 65, 400])
 def test_sweep_matches_transform(thin_even, n_xi):
     # the factored blocks against the direct phase sum at the same frequencies,
@@ -277,7 +283,7 @@ def test_sweep_matches_transform(thin_even, n_xi):
     step = 3.0 * R2 / n_xi
     xi, got = witness._sweep(x, g, R2, step, n_xi)
     assert np.array_equal(xi, R2 + step * np.arange(1, n_xi + 1))
-    want = witness._transform(x, g, xi)
+    want = _phase_sum(x, g, xi)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -288,7 +294,7 @@ def test_tail_xi_are_the_swept_frequencies(thin_none, n_xi):
     assert len(rep.xi) == n_xi
     assert rep.xi[0] > R2 and rep.xi[-1] == pytest.approx(4.0 * R2, rel=1e-15)
     x, g = _tail_moments(thin_none)
-    direct = np.abs(witness._transform(x, g, rep.xi))
+    direct = np.abs(_phase_sum(x, g, rep.xi))
     for k, got in rep.max_by_order:
         # sum |g_k| bounds every |F f^(k)| and sets the rounding scale
         assert abs(got - np.max(direct[:, k])) <= 1e-13 * np.sum(np.abs(g[:, k]))
@@ -308,7 +314,7 @@ MIXED_ORDERS = InterpolationScheme(
 @pytest.mark.parametrize("parity", ["none", "even", "odd"])
 def test_rows_match_per_node_reference(parity):
     # the batched rows against one _columns call per lambda node and one
-    # _transform call per M node, each at its own scalar point
+    # phase sum per M node, each at its own scalar point
     p = WitnessProblem(MIXED_ORDERS, 3.0, 3.0, 0.22 if parity == "none" else 0.10, 0.1, parity)
     atoms = p.atoms()
     A, labels = assemble_constraints(p, atoms)
@@ -322,7 +328,7 @@ def test_rows_match_per_node_reference(parity):
     for nd in p.scheme.m_nodes:
         if abs(nd.point) <= p.R2:
             g = weighted * ((-2j * np.pi * x) ** nd.order)[:, None]
-            crow = witness._transform(x, g, abs(nd.point))
+            crow = _phase_sum(x, g, abs(nd.point))
             re = nd.point > 0 or (nd.point == 0.0 and nd.order % 2 == 0)
             rows.append(crow.real if re else crow.imag)
             want_labels.append(("m", nd.point, nd.order, "re" if re else "im"))
@@ -330,6 +336,40 @@ def test_rows_match_per_node_reference(parity):
     assert len(labels) == p.constraint_count == 28
     ref = np.vstack(rows)
     assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _node_tail_reference(res):
+    """sum over M nodes beyond R2 of |F f^(k)(mu)| |mu|^U, one phase sum per node."""
+    p = res.problem
+    x, g = _tail_moments(res)
+    return sum(abs(_phase_sum(x, g[:, nd.order], nd.point)) * abs(nd.point) ** p.scheme.U
+               for nd in p.scheme.m_nodes if abs(nd.point) > p.R2)
+
+
+@pytest.mark.parametrize("parity, null_dim, want", [
+    ("none", 6, 11.3703271110), ("even", 1, 10.8596463480), ("odd", 2, 21.7802357570)])
+def test_node_tail_mixed_orders(parity, null_dim, want):
+    # the M nodes at +-3.2 of orders 0, 1 and 2 lie beyond R2 = 3
+    p = WitnessProblem(MIXED_ORDERS, 3.0, 3.0, 0.22 if parity == "none" else 0.10, 0.1, parity)
+    res = solve_witness(p)
+    assert res.null_dim == null_dim
+    tail = [nd for nd in MIXED_ORDERS.m_nodes if abs(nd.point) > p.R2]
+    assert sorted((nd.point, nd.order) for nd in tail) == [
+        (s * 3.2, k) for s in (-1.0, 1.0) for k in (0, 1, 2)]
+    got = tail_certificate(res).weighted_sum
+    assert got == pytest.approx(_node_tail_reference(res), rel=1e-12, abs=0)
+    assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("max_n", [41, 42])
+def test_node_tail_spans_phase_blocks(max_n):
+    # 64 and 66 nodes beyond R2 = 3, at, and one block past, XI_BLOCK = 64;
+    # U = 1.5 weights every node differently, so each must meet its own value
+    scheme = dataclasses.replace(thin_scheme(rv_scheme(max_n), 0.2, 3.0, 3.0, seed=20260), U=1.5)
+    assert sum(abs(nd.point) > 3.0 for nd in scheme.m_nodes) == 2 * (max_n - 9)
+    res = solve_witness(WitnessProblem(scheme, 3.0, 3.0, 0.22, 0.1))
+    got = tail_certificate(res, n_xi=1).weighted_sum
+    assert got == pytest.approx(_node_tail_reference(res), rel=1e-12, abs=0)
 
 
 def _lambda_rows(parity, nodes):
