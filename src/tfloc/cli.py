@@ -4,8 +4,10 @@ Every subcommand produces the same report shape: a config echo, a column
 list, data rows, and a summary mapping.  CSV mode prints `#` comment lines
 around the rows (config above, summary below); `--json` emits one object
 matching data/report.schema.json instead.  All floats are printed with 12
-significant digits, and a fixed config (including --seed) yields
-byte-identical output.
+significant digits, and a fixed config yields byte-identical output.  Each
+subcommand accepts only the options it reads: --json, --output and
+--threads everywhere, and a seed only where a step is randomized (witness
+--seed, the --thin orbit choice).
 
 Exit codes: 0 success, 1 usage or input error, 2 a mathematical property
 check failed.  Heavy imports happen inside the handlers so that --threads
@@ -201,17 +203,15 @@ def _cmd_decay(args) -> tuple[dict, int]:
     if args.k < 0:
         raise InputError("atom index k must be nonnegative")
     atom = basis.atom(args.j, args.k)
-    rep = concentration_check(atom, args.eta, n=args.n, xi_max=args.xi_max)
+    rep = concentration_check(atom, args.eta, n=args.n)
     fit = rep.fit
     u_lo, u_hi = fit.u_range
     row = (fit.amplitude, fit.rate, fit.exponent, fit.prefactor_power,
            fit.n_points, fit.residual, u_lo, u_hi)
-    config = {"D": args.D, "eta": args.eta, "j": args.j, "k": args.k, "n": args.n}
-    if args.xi_max is not None:
-        config["xi_max"] = args.xi_max
     report = {
         "command": "decay",
-        "config": config,
+        "config": {"D": args.D, "eta": args.eta, "j": args.j, "k": args.k,
+                   "n": args.n},
         "columns": ["amplitude", "rate", "exponent", "prefactor_power",
                     "n_points", "residual", "u_lo", "u_hi"],
         "rows": [row],
@@ -361,8 +361,6 @@ def _build_parser() -> _Parser:
                         help="emit a JSON report instead of CSV")
     common.add_argument("--output", metavar="PATH",
                         help="write the report to PATH instead of stdout")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized step (default 0)")
     common.add_argument("--threads", type=int,
                         help="cap BLAS worker threads (or set TFLOC_THREADS)")
 
@@ -398,7 +396,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--j", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--n", type=int, default=1 << 16)
-    q.add_argument("--xi-max", type=float, dest="xi_max")
 
     q = sub.add_parser("prolate", parents=[common],
                        help="time-frequency localization spectrum")
@@ -430,6 +427,8 @@ def _build_parser() -> _Parser:
     q.add_argument("--C", type=float, required=True)
     q.add_argument("--eps", type=float, required=True)
     q.add_argument("--thin", type=float)
+    q.add_argument("--seed", type=int, default=0,
+                   help="seed of the --thin orbit choice (default 0)")
     q.add_argument("--parity", choices=["none", "even", "odd"], default="none")
     return p
 

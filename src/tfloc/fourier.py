@@ -168,8 +168,7 @@ def ft_grid(f: SampledFunction, m: int = 0, pad: int = 8):
     spec = np.fft.fft(g, pad_len)
     xi = np.fft.fftfreq(pad_len, d=f.step)
     vals = f.step * spec * np.exp(-2j * np.pi * xi * f.support[0])
-    order = np.argsort(xi, kind="stable")
-    return xi[order], vals[order]
+    return np.fft.fftshift(xi), np.fft.fftshift(vals)
 
 
 def l2_norm(f: SampledFunction) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError, UnsupportedOrderError
 from .fitting import ENVELOPE_FLOOR, REL_FLOOR, DecayFit, envelope_points, fit_decay
 from .fourier import DEFAULT_GRID, SampledFunction, ft_at, ft_grid, trapezoid_weights
-from .whitney import WhitneyDecomposition
+from .whitney import WhitneyDecomposition, admissible_count
 from .windows import BellWindow, build_bells
 
 MAX_ATOM_DERIVATIVE = 2
@@ -186,10 +186,7 @@ def _stationary_prefactor_power(eta: float) -> float:
 
 
 def concentration_check(
-    atom: LocalCosineAtom,
-    eta: float,
-    n: int = DEFAULT_GRID,
-    xi_max: float | None = None,
+    atom: LocalCosineAtom, eta: float, n: int = DEFAULT_GRID
 ) -> ConcentrationReport:
     """Fit |F Phi| against delta^(1/2) A exp(-a (delta |xi -+ xi_jk|)^p).
 
@@ -197,13 +194,11 @@ def concentration_check(
     envelope of the far tail, scaled by the slower bell edge so the window
     start is universal (TAIL_START).  A second fit with p pinned at 1 - eta
     produces the certified two-sided bound, whose amplitude is inflated until
-    it dominates every measured magnitude.
+    it dominates every measured magnitude.  Both fits and the bound use the
+    whole ft_grid sweep of the atom sampled at n + 1 points over its domain.
     """
     f = atom.to_sampled(n)
     xi, vals = ft_grid(f, pad=CONCENTRATION_PAD)
-    if xi_max is not None:
-        keep = np.abs(xi) <= xi_max
-        xi, vals = xi[keep], vals[keep]
     mag = np.abs(vals)
     delta = atom.delta
     eps_slow = min(atom.bell.left_radius, atom.bell.right_radius)
@@ -258,14 +253,15 @@ def derivative_bound_check(
 ) -> DerivativeBoundReport:
     """Measure c = sup |F Phi^(n)| D^T1 |xi|^T2 over [xi_lo, xi_hi].
 
-    Admissibility here uses the threshold C log^(1/(1-eta)) D; the report is
-    flagged vacuous (admissible=False) when the atom index fails it.
+    Admissibility is whitney.admissible_count's rule at the threshold
+    C log^(1/(1-eta)) D; the report is flagged vacuous (admissible=False)
+    when the atom index fails it.
     """
     if xi_lo <= 0.5:
         raise DomainError("derivative bound sweep starts above |xi| = 1/2")
     D = atom.domain[1] - atom.domain[0]
     threshold = C * math.log(D) ** (1.0 / (1.0 - eta))
-    admissible = atom.k < atom.delta - threshold
+    admissible = atom.k < admissible_count(atom.delta, threshold)
     f = atom.to_sampled(grid_n)
     xi = np.geomspace(xi_lo, xi_hi, n_xi)
     mag = np.abs(ft_at(f, xi, m=n))
@@ -275,7 +271,7 @@ def derivative_bound_check(
         D=D,
         T1=T1,
         T2=T2,
-        admissible=bool(admissible),
+        admissible=admissible,
         c_measured=c,
     )
 

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .fourier import DEFAULT_GRID, MAX_FT_DERIVATIVE, SampledFunction, l2_norm, sup_norm
+from .fourier import MAX_FT_DERIVATIVE, SampledFunction, l2_norm, sup_norm
 from .lcbasis import LocalCosineAtom, atom_matrix, build_basis
 from .schemes import InterpolationScheme, counting_function
 from .whitney import admissible_set, whitney_decompose
@@ -280,30 +280,28 @@ def solve_witness(p: WitnessProblem) -> WitnessResult:
     With a nonempty numerical null space the coefficients are
     select_null_vector of it; with an empty one they are the right singular
     vector of the smallest singular value, the least-residual unit vector.
-    The sign makes the leading entry above 1e-14 positive.  The witness is
-    sampled at DEFAULT_GRID + 1 points of [-R1, R1].
+    A problem with no constraint rows is the same rule: V = I, so the
+    coefficients are ones / sqrt(|S|).  The sign makes the leading entry
+    above 1e-14 positive.  The witness is sampled at DEFAULT_GRID + 1 points
+    of [-R1, R1].
     """
     atoms = p.atoms()
     A, _ = assemble_constraints(p, atoms)
     m = len(atoms)
-    if A.shape[0] == 0:
-        coeffs = np.zeros(m)
-        coeffs[0] = 1.0
-        null_dim, smin, smax = m, 0.0, 0.0
-    else:
-        _, sv, Vt = np.linalg.svd(A)
-        smax = float(sv[0])
-        smin = float(sv[-1])
-        rank = int(np.sum(sv > NULL_REL_TOL * smax)) if smax > 0 else 0
-        null_dim = m - rank
-        coeffs = select_null_vector(Vt[rank:]) if null_dim else Vt[-1]
-        lead = np.flatnonzero(np.abs(coeffs) > 1e-14)
-        if len(lead) and coeffs[lead[0]] < 0:
-            coeffs = -coeffs
-    residual = float(np.max(np.abs(A @ coeffs))) if A.shape[0] else 0.0
-    x = np.linspace(-p.R1, p.R1, DEFAULT_GRID + 1)
-    vals = _columns(p, atoms, x) @ coeffs
-    f = SampledFunction((-p.R1, p.R1), 2.0 * p.R1 / DEFAULT_GRID, vals)
+    # U is never read: the thin SVD keeps it at min(rows, m)^2, while a
+    # short A still gets the full V that spans R^m
+    _, sv, Vt = np.linalg.svd(A, full_matrices=A.shape[0] < m)
+    smax = float(np.max(sv, initial=0.0))
+    smin = float(np.min(sv, initial=smax))
+    rank = int(np.sum(sv > NULL_REL_TOL * smax))
+    null_dim = m - rank
+    coeffs = select_null_vector(Vt[rank:]) if null_dim else Vt[-1]
+    lead = np.flatnonzero(np.abs(coeffs) > 1e-14)
+    if len(lead) and coeffs[lead[0]] < 0:
+        coeffs = -coeffs
+    residual = float(np.max(np.abs(A @ coeffs), initial=0.0))
+    f = SampledFunction.from_callable(lambda x: _columns(p, atoms, x) @ coeffs,
+                                      (-p.R1, p.R1))
     sup_x, sup_val = sup_norm(f)
     return WitnessResult(
         problem=p,

@@ -1,6 +1,7 @@
 import importlib.resources
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import jsonschema
 import pytest
 
 import tfloc
-from tfloc.cli import THREAD_ENV_VARS, main
+from tfloc.cli import THREAD_ENV_VARS, _build_parser, main
 
 WHITNEY_D8 = """\
 # tfloc whitney
@@ -96,6 +97,48 @@ def test_usage_errors_exit_1(capsys):
         main(["whitney"])  # missing required --D
     assert ei.value.code == 1
     capsys.readouterr()
+
+
+def test_options_no_command_reads_exit_1(capsys):
+    # --seed belongs to witness alone, and decay fit has no --xi-max
+    unread = [
+        ["whitney", "--D", "8", "--seed", "3"],
+        ["decay", "fit", "--D", "32", "--eta", "0.3", "--j", "5", "--k", "0",
+         "--xi-max", "5"],
+    ]
+    for argv in unread:
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 1, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
+def _readme_commands():
+    """The argv lists of README's CLI block, `\\` continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("tfloc ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) == 9
+    parser = _build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0], argv
+
+
+def test_zeta_witness_reports(tmp_path):
+    # 455,205 rows against 22 atoms: the solve must not form the rows x rows U
+    out = tmp_path / "z.csv"
+    assert main(["witness", "--scheme", "zeta", "--R1", "1.01", "--R2", "6",
+                 "--C", "0.22", "--eps", "0.1", "--thin", "0.3", "--seed", "1",
+                 "--output", str(out)]) == 0
+    text = out.read_text()
+    assert "# constraint_rows=455205" in text
+    assert "# size_S=22" in text
+    assert "# null_dim=0" in text
 
 
 def test_input_errors_exit_1(tmp_path, capsys):

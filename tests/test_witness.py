@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -238,13 +239,32 @@ def test_assemble_rejects_empty_atoms():
 
 
 def test_no_constraints_in_range():
+    # no rows: V = I, so the witness is the projected all-ones vector itself
     far = InterpolationScheme((Node(5.0),), (Node(5.0),), L=2.0, name="far")
     r = solve_witness(WitnessProblem(far, 2.0, 2.0, 0.3, 0.1))
-    assert r.null_dim == len(r.coefficients)
+    m = len(r.coefficients)
+    assert r.null_dim == m
     assert r.residual == 0.0
-    assert r.sigma_max == 0.0
-    assert r.coefficients[0] == 1.0
-    assert np.all(r.coefficients[1:] == 0.0)
+    assert r.sigma_max == 0.0 and r.sigma_min == 0.0
+    assert np.array_equal(r.coefficients, np.full(m, 1 / np.sqrt(m)))
+
+
+def test_tall_solve_never_forms_u():
+    # 3001 lambda rows against 16 atoms: a full SVD's U alone would
+    # take rows^2 doubles (69 MiB); the solve reads only sigma and V
+    lam = tuple(Node(float(x)) for x in np.linspace(-2.0, 2.0, 3001))
+    tall = InterpolationScheme(lam, (Node(5.0),), L=2.0, name="tall")
+    p = WitnessProblem(tall, 2.0, 2.0, 0.3, 0.1)
+    rows = p.constraint_count
+    assert rows == 3001 and rows > 10 * len(p.atoms())
+    tracemalloc.start()
+    try:
+        r = solve_witness(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.null_dim == 0
+    assert peak < 8 * rows**2
 
 
 def test_tail_certificate(thin_none, full_none):
@@ -535,20 +555,23 @@ def test_tail_matches_refined_rule(thin_none, thin_even, thin_odd, monkeypatch):
 
 def test_node_tail_keeps_orders_above_the_sweep_cap():
     # L = 9 allows an order-9 M node; with nothing in range the witness is
-    # the first atom, f(x) = Phi(2 R2 x), and the sweep stops at order 8
+    # sum_a Phi_a(2 R2 x) / sqrt(|S|), and the sweep stops at order 8
     far = InterpolationScheme((Node(5.0),), (Node(5.0, 9),), L=9.0, U=1.0, name="far")
     r = solve_witness(WitnessProblem(far, 2.0, 2.0, 0.3, 0.1))
     assert r.null_dim == len(r.coefficients)
     rep = tail_certificate(r)
     assert [k for k, _ in rep.max_by_order] == list(range(MAX_FT_DERIVATIVE + 1))
-    # reference: a 2^20-point trapezoid in atom units, Phi vanishing at both ends
-    atom, n = r.problem.atoms()[0], 1 << 20
-    lo, hi = atom.bell.support
-    t = np.linspace(lo, hi, n + 1)
-    x = _preimage(r.problem, t)
-    dx = (hi - lo) / n / (2.0 * r.problem.R2)
-    g = _atom_direct(atom, t) * np.exp(-2j * np.pi * 5.0 * x) * dx
-    order9, order8 = (abs(np.sum(g * (-2j * np.pi * x) ** k)) * 5.0 for k in (9, 8))
+    # reference: a 2^18-point trapezoid per atom in atom units, each Phi
+    # vanishing at both ends of its support
+    n, moments = 1 << 18, np.zeros(2, dtype=complex)
+    for atom, c in zip(r.problem.atoms(), r.coefficients):
+        lo, hi = atom.bell.support
+        t = np.linspace(lo, hi, n + 1)
+        x = _preimage(r.problem, t)
+        dx = (hi - lo) / n / (2.0 * r.problem.R2)
+        g = c * _atom_direct(atom, t) * np.exp(-2j * np.pi * 5.0 * x) * dx
+        moments += [np.sum(g * (-2j * np.pi * x) ** k) for k in (9, 8)]
+    order9, order8 = np.abs(moments) * 5.0
     assert rep.weighted_sum == pytest.approx(order9, rel=1e-10, abs=0)
     assert abs(order9 - order8) > 0.5 * order9
 
