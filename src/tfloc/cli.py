@@ -347,6 +347,14 @@ _HANDLERS = {
 }
 
 
+def finite(text: str) -> float:
+    """argparse type of every float option: a float other than nan and +-inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems must exit 1; argparse's default is 2, which we reserve
     # for failed property checks
@@ -370,63 +378,63 @@ def _build_parser() -> _Parser:
 
     q = sub.add_parser("whitney", parents=[common],
                        help="dyadic decomposition table")
-    q.add_argument("--D", type=float, required=True)
-    q.add_argument("--C", type=float)
-    q.add_argument("--eps", type=float)
+    q.add_argument("--D", type=finite, required=True)
+    q.add_argument("--C", type=finite)
+    q.add_argument("--eps", type=finite)
 
     q = sub.add_parser("bells", parents=[common], help="sampled bell windows")
-    q.add_argument("--D", type=float, required=True)
-    q.add_argument("--eta", type=float, required=True)
+    q.add_argument("--D", type=finite, required=True)
+    q.add_argument("--eta", type=finite, required=True)
     q.add_argument("--samples", type=int, default=256)
 
     q = sub.add_parser("basis", parents=[common],
                        help="orthonormality check of the atom family")
     q.add_argument("action", choices=["check"])
-    q.add_argument("--D", type=float, required=True)
-    q.add_argument("--eta", type=float, required=True)
+    q.add_argument("--D", type=finite, required=True)
+    q.add_argument("--eta", type=finite, required=True)
     q.add_argument("--count", type=int, default=50)
     q.add_argument("--n", type=int, default=1 << 16)
-    q.add_argument("--tol", type=float, default=1e-6)
+    q.add_argument("--tol", type=finite, default=1e-6)
 
     q = sub.add_parser("decay", parents=[common],
                        help="transform decay fit for one atom")
     q.add_argument("action", choices=["fit"])
-    q.add_argument("--D", type=float, required=True)
-    q.add_argument("--eta", type=float, required=True)
+    q.add_argument("--D", type=finite, required=True)
+    q.add_argument("--eta", type=finite, required=True)
     q.add_argument("--j", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--n", type=int, default=1 << 16)
 
     q = sub.add_parser("prolate", parents=[common],
                        help="time-frequency localization spectrum")
-    q.add_argument("--W", type=float, required=True)
-    q.add_argument("--T", type=float, required=True)
+    q.add_argument("--W", type=finite, required=True)
+    q.add_argument("--T", type=finite, required=True)
 
     q = sub.add_parser("bound", parents=[common],
                        help="counting bound slack surface")
     q.add_argument("--scheme", choices=["rv", "zeta"], required=True)
     q.add_argument("--zeros-file", dest="zeros_file")
-    q.add_argument("--R1-max", type=float, dest="R1_max", required=True)
-    q.add_argument("--R2-max", type=float, dest="R2_max", required=True)
-    q.add_argument("--step", type=float, required=True)
-    q.add_argument("--eps", type=float, required=True)
+    q.add_argument("--R1-max", type=finite, dest="R1_max", required=True)
+    q.add_argument("--R2-max", type=finite, dest="R2_max", required=True)
+    q.add_argument("--step", type=finite, required=True)
+    q.add_argument("--eps", type=finite, required=True)
 
     q = sub.add_parser("zeta", parents=[common],
                        help="zero-counting margin table")
     q.add_argument("--zeros-file", dest="zeros_file")
-    q.add_argument("--T-max", type=float, dest="T_max", required=True)
-    q.add_argument("--eps", type=float, required=True)
-    q.add_argument("--C", type=float, default=10.0)
+    q.add_argument("--T-max", type=finite, dest="T_max", required=True)
+    q.add_argument("--eps", type=finite, required=True)
+    q.add_argument("--C", type=finite, default=10.0)
 
     q = sub.add_parser("witness", parents=[common],
                        help="annihilating witness certificates")
     q.add_argument("--scheme", choices=["rv", "zeta"], required=True)
     q.add_argument("--zeros-file", dest="zeros_file")
-    q.add_argument("--R1", type=float, required=True)
-    q.add_argument("--R2", type=float, required=True)
-    q.add_argument("--C", type=float, required=True)
-    q.add_argument("--eps", type=float, required=True)
-    q.add_argument("--thin", type=float)
+    q.add_argument("--R1", type=finite, required=True)
+    q.add_argument("--R2", type=finite, required=True)
+    q.add_argument("--C", type=finite, required=True)
+    q.add_argument("--eps", type=finite, required=True)
+    q.add_argument("--thin", type=finite)
     q.add_argument("--seed", type=int, default=0,
                    help="seed of the --thin orbit choice (default 0)")
     q.add_argument("--parity", choices=["none", "even", "odd"], default="none")

@@ -2,9 +2,13 @@
 
 A scheme is two node multisets: Lambda carries (point, derivative order r)
 constraints on f, M carries (point, order k) constraints on its Fourier
-transform.  The two generators are the square-root lattice (points +-sqrt(n),
-optionally with one derivative node at 0 on each side of the transform) and
-the zeta family (log-points +-log(n)/(4 pi) against zero ordinates +-gamma).
+transform.  A scheme takes each side as any sequence of (point, order) pairs
+and keeps it as one read-only NumPy array of dtype NODE, fields "point"
+(float) and "order" (int64), sorted once by (|point|, point, order); every
+reader works on its columns, and no object is made per entry.  The two
+generators are the square-root lattice (points +-sqrt(n), optionally with one
+derivative node at 0 on each side of the transform) and the zeta family
+(log-points +-log(n)/(4 pi) against zero ordinates +-gamma).
 
 Counting is inclusive: n(R) = #{entries with |point| <= R}, every (point,
 order) entry counted separately.  The bound audit measures the slack
@@ -30,43 +34,61 @@ TWO_PI = 2.0 * math.pi
 RVM_STEP = 0.05
 
 
-@dataclass(frozen=True, order=True)
-class Node:
-    point: float
-    order: int = 0
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise DomainError("node derivative order must be >= 0")
+NODE = np.dtype([("point", float), ("order", np.int64)])
 
 
-def _sorted_by_abs(nodes) -> tuple[Node, ...]:
-    return tuple(sorted(nodes, key=lambda nd: (abs(nd.point), nd.point, nd.order)))
+def _nodes(points, order=0) -> np.ndarray:
+    out = np.empty(len(points), NODE)
+    out["point"], out["order"] = points, order
+    return out
 
 
-@dataclass(frozen=True)
+def _node_array(pairs) -> np.ndarray:
+    """Read-only NODE array of (point, order) pairs, sorted by (|point|, point, order)."""
+    nodes = np.asarray(pairs)
+    if nodes.dtype != NODE:
+        flat = np.asarray(pairs, dtype=float).reshape(-1, 2)
+        nodes = _nodes(flat[:, 0], flat[:, 1])
+        if np.any(nodes["order"] != flat[:, 1]):
+            raise DomainError("node derivative orders must be integers")
+    if np.any(nodes["order"] < 0):
+        raise DomainError("node derivative order must be >= 0")
+    nodes = nodes[np.lexsort((nodes["order"], nodes["point"], np.abs(nodes["point"])))]
+    nodes.flags.writeable = False
+    return nodes
+
+
+def _ascending_zeros(zeros, source: str = "zero ordinates") -> np.ndarray:
+    """zeros as floats, checked finite, positive and strictly ascending."""
+    zeros = np.asarray(zeros, dtype=float)
+    if not (np.all(np.isfinite(zeros)) and np.all(zeros > 0) and np.all(np.diff(zeros) > 0)):
+        raise InputError(f"{source} must be finite, positive and strictly ascending")
+    return zeros
+
+
+@dataclass(frozen=True, eq=False)
 class InterpolationScheme:
-    lambda_nodes: tuple[Node, ...]
-    m_nodes: tuple[Node, ...]
+    lambda_nodes: np.ndarray
+    m_nodes: np.ndarray
     L: float
     U: float = 0.0
     name: str = "custom"
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_nodes", _sorted_by_abs(self.lambda_nodes))
-        object.__setattr__(self, "m_nodes", _sorted_by_abs(self.m_nodes))
+        object.__setattr__(self, "lambda_nodes", _node_array(self.lambda_nodes))
+        object.__setattr__(self, "m_nodes", _node_array(self.m_nodes))
         if self.L <= 0:
             raise DomainError("growth exponent L must be positive")
-        if self.m_nodes and max(nd.order for nd in self.m_nodes) > self.L:
+        if len(self.m_nodes) and self.m_nodes["order"].max() > self.L:
             raise DomainError("transform-side derivative orders must not exceed L")
 
     @property
     def lambda_extent(self) -> float:
-        return abs(self.lambda_nodes[-1].point) if self.lambda_nodes else 0.0
+        return float(abs(self.lambda_nodes["point"][-1])) if len(self.lambda_nodes) else 0.0
 
     @property
     def m_extent(self) -> float:
-        return abs(self.m_nodes[-1].point) if self.m_nodes else 0.0
+        return float(abs(self.m_nodes["point"][-1])) if len(self.m_nodes) else 0.0
 
 
 def rv_scheme(max_n: int, include_derivative_nodes: bool = False) -> InterpolationScheme:
@@ -76,52 +98,34 @@ def rv_scheme(max_n: int, include_derivative_nodes: bool = False) -> Interpolati
     """
     if max_n < 1:
         raise DomainError("rv_scheme needs max_n >= 1")
-    points = [Node(0.0)]
-    for n in range(1, max_n + 1):
-        r = math.sqrt(n)
-        points.append(Node(r))
-        points.append(Node(-r))
-    lam = list(points)
-    m = list(points)
+    r = np.sqrt(np.arange(1, max_n + 1, dtype=float))
+    nodes = _nodes(np.concatenate([[0.0], r, -r]))
     if include_derivative_nodes:
-        lam.append(Node(0.0, order=1))
-        m.append(Node(0.0, order=1))
-    return InterpolationScheme(
-        lambda_nodes=tuple(lam), m_nodes=tuple(m), L=2.0, U=0.0, name="rv"
-    )
+        nodes = np.concatenate([nodes, _nodes([0.0], order=1)])
+    return InterpolationScheme(nodes, nodes, L=2.0, name="rv")
 
 
 def zeta_scheme(zeros, max_n: int) -> InterpolationScheme:
     """Zeta scheme: Lambda = {+-log(n)/(4 pi), 1 <= n <= max_n}, M = {+-gamma}.
 
-    zeros must be the ascending positive ordinates of zeta zeros on the
+    zeros must be the finite ascending positive ordinates of zeta zeros on the
     critical line (ingested from a table, never computed here).
     """
-    zeros = np.asarray(list(zeros), dtype=float)
+    zeros = _ascending_zeros(zeros)
     if max_n < 1:
         raise DomainError("zeta_scheme needs max_n >= 1")
-    if len(zeros) and (np.any(zeros <= 0) or np.any(np.diff(zeros) <= 0)):
-        raise InputError("zero ordinates must be positive and strictly ascending")
-    lam = [Node(0.0)]
-    for n in range(2, max_n + 1):
-        p = math.log(n) / (4.0 * math.pi)
-        lam.append(Node(p))
-        lam.append(Node(-p))
-    m = []
-    for g in zeros:
-        m.append(Node(float(g)))
-        m.append(Node(-float(g)))
-    return InterpolationScheme(
-        lambda_nodes=tuple(lam), m_nodes=tuple(m), L=2.0, U=0.0, name="zeta"
-    )
+    # math.log, not np.log: the two differ in the last bit for some n
+    p = np.fromiter(map(math.log, range(2, max_n + 1)), float, max_n - 1) / (4.0 * math.pi)
+    return InterpolationScheme(_nodes(np.concatenate([[0.0], p, -p])),
+                               _nodes(np.concatenate([zeros, -zeros])), L=2.0, name="zeta")
 
 
 def counting_function(nodes, R):
-    """n(R) = number of (point, order) entries with |point| <= R.
+    """n(R) = number of entries of the NODE array `nodes` with |point| <= R.
 
     R may be a scalar or an array; counting is inclusive at |point| = R.
     """
-    pts = np.sort(np.abs(np.array([nd.point for nd in nodes], dtype=float)))
+    pts = np.sort(np.abs(nodes["point"]))
     R_arr = np.asarray(R, dtype=float)
     if np.any(R_arr < 0):
         raise DomainError("counting radius must be nonnegative")
@@ -210,11 +214,9 @@ def riemann_von_mangoldt_check(
     log T >= 0), must not end before it starts and must stay within the
     table's extent; eps must be positive.
     """
-    zeros = np.asarray(list(zeros), dtype=float)
+    zeros = _ascending_zeros(zeros)
     if len(zeros) == 0:
         raise InputError("riemann_von_mangoldt_check needs a nonempty zeros table")
-    if np.any(zeros <= 0) or np.any(np.diff(zeros) <= 0):
-        raise InputError("zero ordinates must be positive and strictly ascending")
     lo, hi = T_range
     if lo < 1.0:
         raise DomainError("T range must start at 1 or above")
@@ -249,7 +251,7 @@ def riemann_von_mangoldt_check(
 
 
 def parse_zeros_file(path) -> np.ndarray:
-    """Read ascending positive ordinates: one decimal per line, # comments."""
+    """Read finite ascending positive ordinates: one decimal per line, # comments."""
     vals = []
     try:
         with open(path, encoding="ascii") as fh:
@@ -263,12 +265,9 @@ def parse_zeros_file(path) -> np.ndarray:
                     raise InputError(f"{path}:{ln}: not a decimal ordinate: {line!r}") from exc
     except OSError as exc:
         raise InputError(f"cannot read zeros file {path}: {exc}") from exc
-    arr = np.asarray(vals, dtype=float)
-    if len(arr) == 0:
+    if not vals:
         raise InputError(f"zeros file {path} contains no ordinates")
-    if np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
-        raise InputError(f"zeros file {path} must be positive and strictly ascending")
-    return arr
+    return _ascending_zeros(vals, f"zeros file {path}")
 
 
 def bundled_zeros() -> np.ndarray:

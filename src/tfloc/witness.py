@@ -204,31 +204,29 @@ def _sweep(x, g, start: float, step: float, n: int) -> tuple[np.ndarray, np.ndar
     return start + step * np.arange(1, n + 1), out
 
 
-def assemble_constraints(p: WitnessProblem, atoms) -> tuple[np.ndarray, tuple]:
+def assemble_constraints(p: WitnessProblem, atoms) -> np.ndarray:
     """Real constraint matrix (rows = constraint entries, cols = atoms).
 
-    Returns (matrix, labels); labels[i] = ('lambda'|'m', point, order, part).
-    The lambda rows are one _columns call per derivative order; the M rows
-    are one product of their real phase rows, Re or Im of _phases at |mu|,
-    with the weighted atom columns.
+    The rows are the lambda entries with |point| <= R1, then the M entries
+    with |point| <= R2, each side in scheme order.  The lambda rows are one
+    _columns call per derivative order; the M rows are one product of their
+    real phase rows, Re or Im of _phases at |mu|, with the weighted atom
+    columns.
     """
     if len(atoms) == 0:
         raise DegenerateInputError("assemble_constraints needs a nonempty atom set")
-    lam = [nd for nd in p.scheme.lambda_nodes if abs(nd.point) <= p.R1]
+    lam = p.scheme.lambda_nodes[np.abs(p.scheme.lambda_nodes["point"]) <= p.R1]
     lam_rows = np.empty((len(lam), len(atoms)))
-    for order in {nd.order for nd in lam}:
-        at = [i for i, nd in enumerate(lam) if nd.order == order]
-        lam_rows[at] = _columns(p, atoms, np.array([lam[i].point for i in at]), order)
-    labels = [("lambda", nd.point, nd.order, "re") for nd in lam]
-    m = [nd for nd in p.scheme.m_nodes if abs(nd.point) <= p.R2]
-    real = np.array([nd.point > 0 or (nd.point == 0.0 and nd.order % 2 == 0) for nd in m],
-                    dtype=bool)
-    labels += [("m", nd.point, nd.order, "re" if re else "im") for nd, re in zip(m, real)]
+    for order in np.unique(lam["order"]).tolist():
+        at = lam["order"] == order
+        lam_rows[at] = _columns(p, atoms, lam["point"][at], order)
+    m = p.scheme.m_nodes[np.abs(p.scheme.m_nodes["point"]) <= p.R2]
+    real = (m["point"] > 0) | ((m["point"] == 0.0) & (m["order"] % 2 == 0))
     x, w = _transform_nodes(p, atoms)
     weighted = w[:, None] * _columns(p, atoms, x)
-    phase = _phases(x, [abs(nd.point) for nd in m], [nd.order for nd in m])
+    phase = _phases(x, np.abs(m["point"]), m["order"])
     m_rows = np.where(real[:, None], phase.real, phase.imag) @ weighted
-    return np.vstack([lam_rows, m_rows]), tuple(labels)
+    return np.vstack([lam_rows, m_rows])
 
 
 @dataclass(frozen=True)
@@ -286,7 +284,7 @@ def solve_witness(p: WitnessProblem) -> WitnessResult:
     of [-R1, R1].
     """
     atoms = p.atoms()
-    A, _ = assemble_constraints(p, atoms)
+    A = assemble_constraints(p, atoms)
     m = len(atoms)
     # U is never read: the thin SVD keeps it at min(rows, m)^2, while a
     # short A still gets the full V that spans R^m
@@ -348,12 +346,13 @@ def tail_certificate(res: WitnessResult, n_xi: int = 400) -> TailReport:
     moments = f[:, None] * (-2j * np.pi * x[:, None]) ** np.arange(n_orders)
     xi, sweep = _sweep(x, moments, p.R2, 3.0 * p.R2 / n_xi, n_xi)
     maxima = tuple((k, float(np.max(np.abs(sweep[:, k])))) for k in range(n_orders))
-    nodes = [nd for nd in p.scheme.m_nodes if abs(nd.point) > p.R2]
+    nodes = p.scheme.m_nodes[np.abs(p.scheme.m_nodes["point"]) > p.R2]
     total = 0.0
     for s in range(0, len(nodes), XI_BLOCK):
         block = nodes[s : s + XI_BLOCK]
-        at = np.abs(_phases(x, [nd.point for nd in block], [nd.order for nd in block]) @ f)
-        total += sum(a * abs(nd.point) ** p.scheme.U for a, nd in zip(at, block))
+        at = np.abs(_phases(x, block["point"], block["order"]) @ f)
+        # a block sums left to right: cumsum adds in order, np.sum pairwise
+        total += np.cumsum(at * np.abs(block["point"]) ** p.scheme.U)[-1]
     return TailReport(xi=xi, max_by_order=maxima, weighted_sum=float(total))
 
 
@@ -381,28 +380,21 @@ def thin_scheme(
         raise DomainError("thinning fraction must lie in [0, 1)")
     if seed < 0:
         raise DomainError(f"thinning seed must be >= 0, got {seed}")
-    sides = {"lambda": list(scheme.lambda_nodes), "m": list(scheme.m_nodes)}
-    radii = {"lambda": R1, "m": R2}
-    orbits: dict[tuple, list[tuple[str, int]]] = {}
-    n_in = 0
-    for side, nodes in sides.items():
-        for i, nd in enumerate(nodes):
-            if abs(nd.point) <= radii[side]:
-                n_in += 1
-                orbits.setdefault((side, abs(nd.point), nd.order), []).append((side, i))
-    target = int(round(fraction * n_in))
-    rng = np.random.default_rng(seed)
-    keys = sorted(orbits.keys())
-    removed: set[tuple[str, int]] = set()
-    for idx in rng.permutation(len(keys)):
-        if len(removed) >= target:
-            break
-        removed.update(orbits[keys[idx]])
-    kept = {
-        side: tuple(nd for i, nd in enumerate(nodes) if (side, i) not in removed)
-        for side, nodes in sides.items()
-    }
-    return InterpolationScheme(
-        lambda_nodes=kept["lambda"], m_nodes=kept["m"], L=scheme.L, U=scheme.U,
-        name=f"{scheme.name}-thinned",
-    )
+    sides = (scheme.lambda_nodes, scheme.m_nodes)
+    inside = [np.flatnonzero(np.abs(nodes["point"]) <= r) for nodes, r in zip(sides, (R1, R2))]
+    # an orbit is (side, |point|, order); a complex key sorts by real part,
+    # then imaginary part, so the orbits come lambda's first, each side in
+    # (|point|, order) order
+    orbits = [np.unique(np.abs(nodes["point"][at]) + 1j * nodes["order"][at],
+                        return_inverse=True, return_counts=True)[1:]
+              for nodes, at in zip(sides, inside)]
+    size = np.concatenate([counts for _, counts in orbits])
+    target = int(round(fraction * int(size.sum())))
+    perm = np.random.default_rng(seed).permutation(len(size))
+    # orbits are removed in permutation order until target entries are gone
+    drop = np.empty(len(size), dtype=bool)
+    drop[perm] = np.cumsum(size[perm]) - size[perm] < target
+    drops = np.split(drop, [len(orbits[0][1])])
+    kept = [np.delete(nodes, at[d[orbit]])
+            for nodes, at, (orbit, _), d in zip(sides, inside, orbits, drops)]
+    return InterpolationScheme(*kept, L=scheme.L, U=scheme.U, name=f"{scheme.name}-thinned")

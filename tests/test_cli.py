@@ -167,6 +167,44 @@ def test_input_errors_exit_1(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith(f"tfloc {argv[0]}: "), argv
 
 
+def test_non_finite_zero_tables_exit_1(tmp_path, capsys):
+    # every comparison with nan is False, so only an explicit finiteness
+    # check keeps nan or inf out of the zero count
+    for tail in ("nan", "inf"):
+        table = tmp_path / f"{tail}.txt"
+        table.write_text(f"14.134725\n{tail}\n")
+        for argv in (["zeta", "--T-max", "20", "--eps", "0.1"],
+                     ["bound", "--scheme", "zeta", "--R1-max", "1.1", "--R2-max", "10",
+                      "--step", "0.1", "--eps", "0.1"]):
+            assert main(argv + ["--zeros-file", str(table)]) == 1, (tail, argv)
+            captured = capsys.readouterr()
+            assert captured.out == "" and "finite" in captured.err, (tail, argv)
+
+
+NON_FINITE_OPTIONS = [
+    ["witness", "--scheme", "rv", "--R1", "nan", "--R2", "3", "--C", "0.22", "--eps", "0.1"],
+    ["witness", "--scheme", "rv", "--R1", "3", "--R2", "inf", "--C", "0.22", "--eps", "0.1"],
+    ["witness", "--scheme", "rv", "--R1", "3", "--R2", "3", "--C", "0.22", "--eps", "nan"],
+    ["bound", "--scheme", "rv", "--R1-max", "nan", "--R2-max", "3", "--step", "0.1",
+     "--eps", "0.1"],
+    ["prolate", "--W", "nan", "--T", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_OPTIONS,
+                         ids=["R1-nan", "R2-inf", "eps-nan", "R1-max-nan", "W-nan"])
+def test_non_finite_options_are_usage_errors(argv):
+    env = dict(os.environ)
+    src = str(Path(tfloc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "tfloc.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert "is not a finite number" in done.stderr and done.stderr.startswith("usage: ")
+
+
 def test_property_failures_exit_2(capsys):
     rc = main(["basis", "check", "--D", "8", "--eta", "0.25", "--count", "6",
                "--n", "4096", "--tol", "1e-30"])

@@ -6,15 +6,44 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tfloc.errors import DomainError, ExtentError, InputError
-from tfloc.schemes import (InterpolationScheme, Node, audit_bound,
+from tfloc.schemes import (NODE, InterpolationScheme, audit_bound,
                            bundled_zeros, counting_function, parse_zeros_file,
                            riemann_von_mangoldt_check, rv_scheme, zeta_scheme)
 
 
+def _side(pairs):
+    """A scheme side: the sorted read-only NODE array of (point, order) pairs."""
+    return InterpolationScheme(pairs, (), L=2.0).lambda_nodes
+
+
+def _points(points):
+    return _side([(p, 0) for p in points])
+
+
 def test_node_validation():
     with pytest.raises(DomainError):
-        Node(1.0, order=-1)
-    assert Node(2.0).order == 0
+        InterpolationScheme([(1.0, -1)], [], L=2.0)
+    with pytest.raises(DomainError):
+        InterpolationScheme([], [(1.0, -1)], L=2.0)
+    with pytest.raises(DomainError):
+        InterpolationScheme([(1.0, 0.5)], [], L=2.0)
+    side = _side([(2.0, 0), (1.0, 1), (-1.0, 0), (1.0, 0)])
+    assert side.dtype == NODE
+    # sorted by (|point|, point, order)
+    assert side.tolist() == [(-1.0, 0), (1.0, 0), (1.0, 1), (2.0, 0)]
+
+
+def test_node_arrays_are_read_only():
+    scheme = rv_scheme(4, include_derivative_nodes=True)
+    for side in (scheme.lambda_nodes, scheme.m_nodes):
+        with pytest.raises(ValueError):
+            side["point"][0] = 7.0
+        with pytest.raises(ValueError):
+            side["order"][:] = 0
+    # a scheme built from another's arrays stores its own sorted copy
+    again = InterpolationScheme(scheme.lambda_nodes[::-1], scheme.m_nodes, L=2.0)
+    assert np.array_equal(again.lambda_nodes, scheme.lambda_nodes)
+    assert not again.lambda_nodes.flags.writeable
 
 
 def test_rv_counting_paper_spots():
@@ -24,7 +53,7 @@ def test_rv_counting_paper_spots():
     assert counting_function(lam, 3.1) == 19
     assert counting_function(lam, 0.5) == 1
     assert counting_function(lam, 0.0) == 1
-    assert counting_function((), 5.0) == 0
+    assert counting_function(_side(()), 5.0) == 0
 
 
 def test_rv_derivative_flag_adds_origin_pair():
@@ -34,7 +63,7 @@ def test_rv_derivative_flag_adds_origin_pair():
     assert (counting_function(flagged.lambda_nodes, 3.0)
             == counting_function(plain.lambda_nodes, 3.0) + 1)
     # multiset counting: both origin entries count
-    assert counting_function((Node(0.0), Node(0.0, order=1)), 0.0) == 2
+    assert counting_function(_side([(0.0, 0), (0.0, 1)]), 0.0) == 2
 
 
 _RV_WIDE = rv_scheme(901)
@@ -57,14 +86,14 @@ def test_rv_matches_closed_formula(R):
 @settings(max_examples=150, deadline=None)
 def test_counting_monotone_and_additive(points, r_small, r_big):
     lo, hi = sorted((r_small, r_big))
-    nodes = tuple(Node(p) for p in points)
+    nodes = _points(points)
     assert counting_function(nodes, lo) <= counting_function(nodes, hi)
-    doubled = nodes + nodes
+    doubled = np.concatenate([nodes, nodes])
     assert counting_function(doubled, hi) == 2 * counting_function(nodes, hi)
 
 
 def test_counting_jumps_inclusive_at_nodes():
-    nodes = (Node(-1.5), Node(1.5), Node(2.0))
+    nodes = _points((-1.5, 1.5, 2.0))
     assert counting_function(nodes, 1.5) == 2
     assert counting_function(nodes, np.nextafter(1.5, 0.0)) == 0
     assert counting_function(nodes, 2.0) == 3
@@ -84,8 +113,8 @@ def test_audit_slack_paper_example():
 def test_audit_doubled_nodes_shift_slack_exactly():
     s = rv_scheme(9)
     doubled = InterpolationScheme(
-        lambda_nodes=s.lambda_nodes + s.lambda_nodes,
-        m_nodes=s.m_nodes + s.m_nodes, L=s.L, name="rv2x")
+        lambda_nodes=np.concatenate([s.lambda_nodes] * 2),
+        m_nodes=np.concatenate([s.m_nodes] * 2), L=s.L, name="rv2x")
     a1 = audit_bound(s, (1.0, 2.5), (1.0, 2.5), 0.5, 0.1)
     a2 = audit_bound(doubled, (1.0, 2.5), (1.0, 2.5), 0.5, 0.1)
     n1 = counting_function(s.lambda_nodes, a1.R1)
@@ -106,8 +135,8 @@ def test_audit_extent_and_domain_errors():
 
 def test_audit_fitted_c_monotone_in_eps():
     sparse = InterpolationScheme(
-        lambda_nodes=(Node(0.0), Node(-5.0), Node(5.0)),
-        m_nodes=(Node(0.0), Node(-5.0), Node(5.0)), L=2.0, name="sparse")
+        lambda_nodes=[(0.0, 0), (-5.0, 0), (5.0, 0)],
+        m_nodes=[(0.0, 0), (-5.0, 0), (5.0, 0)], L=2.0, name="sparse")
     audits = [audit_bound(sparse, (2.0, 4.0), (2.0, 4.0), 0.5, eps)
               for eps in (0.1, 0.5, 1.0)]
     cs = [a.C_fit for a in audits]
@@ -127,6 +156,24 @@ def test_zeta_scheme_examples():
         zeta_scheme([2.0, 1.0], max_n=3)
     with pytest.raises(InputError):
         zeta_scheme([-1.0, 2.0], max_n=3)
+    for bad in ([14.1, math.nan], [14.1, math.inf], [math.nan]):
+        with pytest.raises(InputError):
+            zeta_scheme(bad, max_n=3)
+        with pytest.raises(InputError):
+            riemann_von_mangoldt_check(bad, (1.0, 10.0))
+
+
+def test_zeta_lambda_points_are_math_log():
+    # a vectorized np.log can differ from math.log in the last bit; n = 9170
+    # and 19143 are two such n, so the range covers them
+    max_n = 20000
+    s = zeta_scheme(bundled_zeros(), max_n)
+    want = np.array([math.log(k) / (4.0 * math.pi) for k in range(2, max_n + 1)])
+    pts = s.lambda_nodes["point"]
+    assert len(pts) == 2 * max_n - 1 and pts[0] == 0.0
+    # entries sort by |point|, -p before p, and log(n) grows with n
+    assert np.array_equal(pts[2::2], want) and np.array_equal(pts[1::2], -want)
+    assert np.all(s.lambda_nodes["order"] == 0)
 
 
 def test_rvm_check_passes_with_default_constant():
@@ -186,3 +233,8 @@ def test_parse_zeros_file_errors(tmp_path):
     unsorted.write_text("2.5\n1.5\n")
     with pytest.raises(InputError):
         parse_zeros_file(unsorted)
+    for name, tail in (("nan.txt", "nan"), ("inf.txt", "inf")):
+        bad = tmp_path / name
+        bad.write_text(f"14.134725\n{tail}\n")
+        with pytest.raises(InputError, match="finite"):
+            parse_zeros_file(bad)

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from tfloc.errors import DegenerateInputError, DomainError
 from tfloc.fourier import MAX_FT_DERIVATIVE, ft_at
 from tfloc.lcbasis import build_basis
-from tfloc.schemes import InterpolationScheme, Node, rv_scheme
+from tfloc.schemes import NODE, InterpolationScheme, rv_scheme
 from tfloc.whitney import whitney_decompose
 from tfloc.windows import SHARPNESS
 import tfloc
@@ -113,7 +113,7 @@ def _leading_positive(a):
 
 def test_witness_is_projected_ones_vector(thin_none):
     p = thin_none.problem
-    A, _ = assemble_constraints(p, p.atoms())
+    A = assemble_constraints(p, p.atoms())
     # independent route: (I - A^+ A) 1 is the projection of 1 onto ker A
     ones = np.ones(A.shape[1])
     proj = ones - np.linalg.pinv(A, rcond=NULL_REL_TOL) @ (A @ ones)
@@ -220,16 +220,27 @@ def test_odd_parity_witness(thin_odd):
     assert r.l2 == pytest.approx(r.l2_target, abs=1e-6)
 
 
+def _in_radius(nodes, R):
+    return nodes[np.abs(nodes["point"]) <= R]
+
+
 def test_assemble_rows_match_counting():
     p = WitnessProblem(THINNED, 3.0, 3.0, 0.22, 0.1)
-    A, labels = assemble_constraints(p, p.atoms())
+    atoms = p.atoms()
+    A = assemble_constraints(p, atoms)
     assert A.shape == (30, 34)
-    assert len(labels) == p.constraint_count
-    assert labels[0] == ("lambda", 0.0, 0, "re")
-    assert {side for side, *_ in labels} == {"lambda", "m"}
+    assert len(A) == p.constraint_count
+    # the lambda entries inside R1 come first, in scheme order, then the M entries
+    lam, m = _in_radius(THINNED.lambda_nodes, 3.0), _in_radius(THINNED.m_nodes, 3.0)
+    assert len(lam) and len(m) and len(lam) + len(m) == len(A)
+    assert lam[0]["point"] == 0.0 and np.all(lam["order"] == 0)
+    assert np.array_equal(A[:len(lam)], witness._columns(p, atoms, lam["point"]))
     # negative transform entries carry the imaginary part
-    parts = {lbl[3] for lbl in labels if lbl[0] == "m" and lbl[1] < 0}
-    assert parts == {"im"}
+    x, w = witness._transform_nodes(p, atoms)
+    crow = _phase_sum(x, w[:, None] * witness._columns(p, atoms, x), np.abs(m["point"]))
+    want = np.where((m["point"] < 0)[:, None], crow.imag, crow.real)
+    assert np.any(m["point"] < 0)
+    assert np.max(np.abs(A[len(lam):] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_assemble_rejects_empty_atoms():
@@ -240,7 +251,7 @@ def test_assemble_rejects_empty_atoms():
 
 def test_no_constraints_in_range():
     # no rows: V = I, so the witness is the projected all-ones vector itself
-    far = InterpolationScheme((Node(5.0),), (Node(5.0),), L=2.0, name="far")
+    far = InterpolationScheme([(5.0, 0)], [(5.0, 0)], L=2.0, name="far")
     r = solve_witness(WitnessProblem(far, 2.0, 2.0, 0.3, 0.1))
     m = len(r.coefficients)
     assert r.null_dim == m
@@ -252,8 +263,8 @@ def test_no_constraints_in_range():
 def test_tall_solve_never_forms_u():
     # 3001 lambda rows against 16 atoms: a full SVD's U alone would
     # take rows^2 doubles (69 MiB); the solve reads only sigma and V
-    lam = tuple(Node(float(x)) for x in np.linspace(-2.0, 2.0, 3001))
-    tall = InterpolationScheme(lam, (Node(5.0),), L=2.0, name="tall")
+    lam = [(x, 0) for x in np.linspace(-2.0, 2.0, 3001).tolist()]
+    tall = InterpolationScheme(lam, [(5.0, 0)], L=2.0, name="tall")
     p = WitnessProblem(tall, 2.0, 2.0, 0.3, 0.1)
     rows = p.constraint_count
     assert rows == 3001 and rows > 10 * len(p.atoms())
@@ -323,10 +334,10 @@ def test_tail_xi_are_the_swept_frequencies(thin_none, n_xi):
 # every order at interleaved points, so rows batched by order must scatter
 # back into node order; the entries beyond the radii make no rows
 MIXED_ORDERS = InterpolationScheme(
-    lambda_nodes=tuple(Node(s * x, (i + j) % 3) for i, x in enumerate((0.0, 0.7, 1.9, 2.8, 3.5))
-                       for j, s in enumerate((1.0, -1.0)) if x or s > 0),
-    m_nodes=tuple(Node(s * mu, k) for mu in (0.0, 0.4, 1.3, 2.6, 3.2) for k in (2, 0, 1)
-                  for s in (1.0, -1.0) if mu or s > 0),
+    lambda_nodes=[(s * x, (i + j) % 3) for i, x in enumerate((0.0, 0.7, 1.9, 2.8, 3.5))
+                  for j, s in enumerate((1.0, -1.0)) if x or s > 0],
+    m_nodes=[(s * mu, k) for mu in (0.0, 0.4, 1.3, 2.6, 3.2) for k in (2, 0, 1)
+             for s in (1.0, -1.0) if mu or s > 0],
     L=2.0,
 )
 
@@ -337,23 +348,19 @@ def test_rows_match_per_node_reference(parity):
     # phase sum per M node, each at its own scalar point
     p = WitnessProblem(MIXED_ORDERS, 3.0, 3.0, 0.22 if parity == "none" else 0.10, 0.1, parity)
     atoms = p.atoms()
-    A, labels = assemble_constraints(p, atoms)
+    A = assemble_constraints(p, atoms)
     x, w = witness._transform_nodes(p, atoms)
     weighted = w[:, None] * witness._columns(p, atoms, x)
-    rows, want_labels = [], []
-    for nd in p.scheme.lambda_nodes:
-        if abs(nd.point) <= p.R1:
-            rows.append(witness._columns(p, atoms, nd.point, nd.order))
-            want_labels.append(("lambda", nd.point, nd.order, "re"))
-    for nd in p.scheme.m_nodes:
-        if abs(nd.point) <= p.R2:
-            g = weighted * ((-2j * np.pi * x) ** nd.order)[:, None]
-            crow = _phase_sum(x, g, abs(nd.point))
-            re = nd.point > 0 or (nd.point == 0.0 and nd.order % 2 == 0)
-            rows.append(crow.real if re else crow.imag)
-            want_labels.append(("m", nd.point, nd.order, "re" if re else "im"))
-    assert labels == tuple(want_labels)
-    assert len(labels) == p.constraint_count == 28
+    # one row per in-radius entry, lambda's then M's, each in scheme order
+    rows = []
+    for point, order in _in_radius(p.scheme.lambda_nodes, p.R1).tolist():
+        rows.append(witness._columns(p, atoms, point, order))
+    for point, order in _in_radius(p.scheme.m_nodes, p.R2).tolist():
+        g = weighted * ((-2j * np.pi * x) ** order)[:, None]
+        crow = _phase_sum(x, g, abs(point))
+        re = point > 0 or (point == 0.0 and order % 2 == 0)
+        rows.append(crow.real if re else crow.imag)
+    assert len(rows) == len(A) == p.constraint_count == 28
     ref = np.vstack(rows)
     assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -362,8 +369,8 @@ def _node_tail_reference(res):
     """sum over M nodes beyond R2 of |F f^(k)(mu)| |mu|^U, one phase sum per node."""
     p = res.problem
     x, g = _tail_moments(res)
-    return sum(abs(_phase_sum(x, g[:, nd.order], nd.point)) * abs(nd.point) ** p.scheme.U
-               for nd in p.scheme.m_nodes if abs(nd.point) > p.R2)
+    return sum(abs(_phase_sum(x, g[:, order], point)) * abs(point) ** p.scheme.U
+               for point, order in p.scheme.m_nodes.tolist() if abs(point) > p.R2)
 
 
 @pytest.mark.parametrize("parity, null_dim, want", [
@@ -373,8 +380,8 @@ def test_node_tail_mixed_orders(parity, null_dim, want):
     p = WitnessProblem(MIXED_ORDERS, 3.0, 3.0, 0.22 if parity == "none" else 0.10, 0.1, parity)
     res = solve_witness(p)
     assert res.null_dim == null_dim
-    tail = [nd for nd in MIXED_ORDERS.m_nodes if abs(nd.point) > p.R2]
-    assert sorted((nd.point, nd.order) for nd in tail) == [
+    tail = MIXED_ORDERS.m_nodes[np.abs(MIXED_ORDERS.m_nodes["point"]) > p.R2]
+    assert sorted(tail.tolist()) == [
         (s * 3.2, k) for s in (-1.0, 1.0) for k in (0, 1, 2)]
     got = tail_certificate(res).weighted_sum
     assert got == pytest.approx(_node_tail_reference(res), rel=1e-12, abs=0)
@@ -386,24 +393,31 @@ def test_node_tail_spans_phase_blocks(max_n):
     # 64 and 66 nodes beyond R2 = 3, at, and one block past, XI_BLOCK = 64;
     # U = 1.5 weights every node differently, so each must meet its own value
     scheme = dataclasses.replace(thin_scheme(rv_scheme(max_n), 0.2, 3.0, 3.0, seed=20260), U=1.5)
-    assert sum(abs(nd.point) > 3.0 for nd in scheme.m_nodes) == 2 * (max_n - 9)
+    assert np.count_nonzero(np.abs(scheme.m_nodes["point"]) > 3.0) == 2 * (max_n - 9)
     res = solve_witness(WitnessProblem(scheme, 3.0, 3.0, 0.22, 0.1))
     got = tail_certificate(res, n_xi=1).weighted_sum
     assert got == pytest.approx(_node_tail_reference(res), rel=1e-12, abs=0)
 
 
+def _rows_by_entry(p, atoms=None):
+    """{(point, order): row} of p's constraint matrix, from its in-radius entries."""
+    A = assemble_constraints(p, p.atoms() if atoms is None else atoms)
+    entries = np.concatenate([_in_radius(p.scheme.lambda_nodes, p.R1),
+                              _in_radius(p.scheme.m_nodes, p.R2)])
+    assert len(entries) == len(A)
+    return dict(zip(entries.tolist(), A))
+
+
 def _lambda_rows(parity, nodes):
     scheme = InterpolationScheme(lambda_nodes=nodes, m_nodes=(), L=2.0)
-    p = WitnessProblem(scheme, 3.0, 3.0, 0.22, 0.1, parity)
-    A, labels = assemble_constraints(p, p.atoms())
-    return {(point, order): A[i] for i, (_, point, order, _) in enumerate(labels)}
+    return _rows_by_entry(WitnessProblem(scheme, 3.0, 3.0, 0.22, 0.1, parity))
 
 
 @pytest.mark.parametrize("parity", ["none", "even", "odd"])
 def test_derivative_rows_match_differences(parity):
     points, h = (-1.3, -0.4, 0.0, 0.4, 1.3), 1e-4
-    rows = _lambda_rows(parity, tuple(Node(x, r) for x in points for r in (1, 2)))
-    values = _lambda_rows(parity, tuple(Node(x + s, 0) for x in points for s in (-h, 0.0, h)))
+    rows = _lambda_rows(parity, [(x, r) for x in points for r in (1, 2)])
+    values = _lambda_rows(parity, [(x + s, 0) for x in points for s in (-h, 0.0, h)])
     for x in points:
         above, at, below = values[(x + h, 0)], values[(x, 0)], values[(x - h, 0)]
         diffs = {1: (above - below) / (2.0 * h), 2: (above - 2.0 * at + below) / h**2}
@@ -493,7 +507,7 @@ def _quad_reference(p, atom, levels=30):
 def test_transform_rows_match_independent_quadratures(parities):
     # even and odd share D = 18 and fold onto the half line: with h the
     # integral over x > 0, the transform is 2 Re h (even) or 2i Im h (odd)
-    nodes = tuple(Node(s * ROW_MU, k) for k in ROW_ORDERS for s in (1.0, -1.0))
+    nodes = [(s * ROW_MU, k) for k in ROW_ORDERS for s in (1.0, -1.0)]
     scheme = InterpolationScheme(lambda_nodes=(), m_nodes=nodes, L=2.0)
     problems = [WitnessProblem(scheme, 3.0, 3.0, 0.22, 0.1, par) for par in parities]
     basis = build_basis(whitney_decompose(problems[0].D), problems[0].eta)
@@ -502,8 +516,7 @@ def test_transform_rows_match_independent_quadratures(parities):
     atoms = [basis.atom(j, k) for j, k in ((last // 2, 5), (2, 1), (0, 0), (last, 0))]
     got = []
     for p in problems:
-        A, labels = assemble_constraints(p, atoms)
-        row = {(point, order): A[r] for r, (_, point, order, _) in enumerate(labels)}
+        row = _rows_by_entry(p, atoms)
         got.append(np.array([row[(ROW_MU, k)] + 1j * row[(-ROW_MU, k)] for k in ROW_ORDERS]))
     for i, atom in enumerate(atoms):
         for h in (_trapezoid_reference(problems[0], atom), _quad_reference(problems[0], atom)):
@@ -515,12 +528,12 @@ def test_transform_rows_match_independent_quadratures(parities):
 def test_residual_honest_under_refined_rule(thin_none, thin_even, thin_odd, monkeypatch):
     rows = {}
     for r in (thin_none, thin_even, thin_odd):
-        rows[r.problem.parity] = assemble_constraints(r.problem, r.problem.atoms())[0]
+        rows[r.problem.parity] = assemble_constraints(r.problem, r.problem.atoms())
     monkeypatch.setattr(witness, "GRADE_LEVELS", 16)
     monkeypatch.setattr(witness, "PANEL_WIDTH", 0.25)
     monkeypatch.setattr(witness, "PANEL_NODES", 16)
     for r in (thin_none, thin_even, thin_odd):
-        A_ref, _ = assemble_constraints(r.problem, r.problem.atoms())
+        A_ref = assemble_constraints(r.problem, r.problem.atoms())
         assert np.max(np.abs(A_ref - rows[r.problem.parity])) < 1e-13
         # the printed residual is a property of the transform, not of the rule
         assert np.max(np.abs(A_ref @ r.coefficients)) < 1e-12
@@ -548,15 +561,15 @@ def test_tail_matches_refined_rule(thin_none, thin_even, thin_odd, monkeypatch):
         for k, got in rep.max_by_order:
             want = np.max(np.abs(ft(both, k)))
             assert abs(got - want) <= 1e-12 * want
-        want = sum(abs(ft(np.array([nd.point]), nd.order)[0]) * abs(nd.point) ** p.scheme.U
-                   for nd in p.scheme.m_nodes if abs(nd.point) > p.R2)
+        want = sum(abs(ft(np.array([point]), order)[0]) * abs(point) ** p.scheme.U
+                   for point, order in p.scheme.m_nodes.tolist() if abs(point) > p.R2)
         assert abs(rep.weighted_sum - want) <= 1e-12 * want
 
 
 def test_node_tail_keeps_orders_above_the_sweep_cap():
     # L = 9 allows an order-9 M node; with nothing in range the witness is
     # sum_a Phi_a(2 R2 x) / sqrt(|S|), and the sweep stops at order 8
-    far = InterpolationScheme((Node(5.0),), (Node(5.0, 9),), L=9.0, U=1.0, name="far")
+    far = InterpolationScheme([(5.0, 0)], [(5.0, 9)], L=9.0, U=1.0, name="far")
     r = solve_witness(WitnessProblem(far, 2.0, 2.0, 0.3, 0.1))
     assert r.null_dim == len(r.coefficients)
     rep = tail_certificate(r)
@@ -584,20 +597,64 @@ def test_thinning_contract():
     with pytest.raises(DomainError):
         thin_scheme(SCHEME, 0.2, 3.0, 3.0, seed=-1)
     again = thin_scheme(SCHEME, 0.2, 3.0, 3.0, seed=20260)
-    assert again.lambda_nodes == THINNED.lambda_nodes
-    assert again.m_nodes == THINNED.m_nodes
+    assert np.array_equal(again.lambda_nodes, THINNED.lambda_nodes)
+    assert np.array_equal(again.m_nodes, THINNED.m_nodes)
     assert again.name == "rv-thinned"
     other = thin_scheme(SCHEME, 0.2, 3.0, 3.0, seed=777)
-    assert (other.lambda_nodes, other.m_nodes) != (THINNED.lambda_nodes, THINNED.m_nodes)
+    assert not (np.array_equal(other.lambda_nodes, THINNED.lambda_nodes)
+                and np.array_equal(other.m_nodes, THINNED.m_nodes))
     noop = thin_scheme(SCHEME, 0.0, 3.0, 3.0, seed=3)
     assert len(noop.lambda_nodes) == len(SCHEME.lambda_nodes)
 
 
 def test_thinning_preserves_out_of_range_nodes():
-    before = [nd for nd in SCHEME.lambda_nodes if abs(nd.point) > 3.0]
-    after = [nd for nd in THINNED.lambda_nodes if abs(nd.point) > 3.0]
-    assert before == after and len(before) == 6
+    before = SCHEME.lambda_nodes[np.abs(SCHEME.lambda_nodes["point"]) > 3.0]
+    after = THINNED.lambda_nodes[np.abs(THINNED.lambda_nodes["point"]) > 3.0]
+    assert np.array_equal(before, after) and len(before) == 6
     # removed entries come in whole +- orbits
-    removed = set(SCHEME.m_nodes) - set(THINNED.m_nodes)
-    for nd in removed:
-        assert nd.point == 0.0 or Node(-nd.point, nd.order) in removed
+    removed = set(SCHEME.m_nodes.tolist()) - set(THINNED.m_nodes.tolist())
+    assert removed
+    for point, order in removed:
+        assert point == 0.0 or (-point, order) in removed
+
+
+def _thin_reference(scheme, fraction, R1, R2, seed):
+    """The per-orbit dict loop thin_scheme replaced, on (point, order) tuples."""
+    sides = {"lambda": scheme.lambda_nodes.tolist(), "m": scheme.m_nodes.tolist()}
+    radii = {"lambda": R1, "m": R2}
+    orbits, n_in = {}, 0
+    for side, nodes in sides.items():
+        for i, (point, order) in enumerate(nodes):
+            if abs(point) <= radii[side]:
+                n_in += 1
+                orbits.setdefault((side, abs(point), order), []).append((side, i))
+    target = int(round(fraction * n_in))
+    keys = sorted(orbits.keys())
+    removed = set()
+    for idx in np.random.default_rng(seed).permutation(len(keys)):
+        if len(removed) >= target:
+            break
+        removed.update(orbits[keys[idx]])
+    return [np.array([nd for i, nd in enumerate(nodes) if (side, i) not in removed], dtype=NODE)
+            for side, nodes in sides.items()]
+
+
+_RV40 = rv_scheme(40)
+THIN_BASES = {
+    "rv40": _RV40,
+    "rv40-derivative": rv_scheme(40, include_derivative_nodes=True),
+    "rv40-duplicated": InterpolationScheme(np.concatenate([_RV40.lambda_nodes] * 2),
+                                           np.concatenate([_RV40.m_nodes] * 2), L=2.0),
+}
+
+
+@pytest.mark.parametrize("radii", [(3.0, 3.0), (2.0, 5.0), (5.5, 1.5)])
+@pytest.mark.parametrize("base", sorted(THIN_BASES))
+def test_thinning_matches_per_orbit_reference(base, radii):
+    scheme = THIN_BASES[base]
+    for fraction in (0.0, 0.1, 0.2, 0.5, 0.9):
+        for seed in range(6):
+            got = thin_scheme(scheme, fraction, *radii, seed=seed)
+            lam, m = _thin_reference(scheme, fraction, *radii, seed)
+            assert np.array_equal(got.lambda_nodes, lam), (fraction, seed)
+            assert np.array_equal(got.m_nodes, m), (fraction, seed)
