@@ -73,12 +73,15 @@ class LocalCosineAtom:
         return SampledFunction.from_callable(self.value, self.domain, n=n)
 
 
-def atom_matrix(atoms, x, order: int = 0) -> np.ndarray:
+def atom_matrix(atoms, x, order: int = 0, coeffs=None) -> np.ndarray:
     """Derivative of order `order` of every atom at x, shape (len(x), len(atoms)).
 
-    A scalar x gives shape (len(atoms),).  This is the one atom evaluator:
-    each distinct bell's jet, and each atom's cosine factor, is computed once
-    on the points of x inside the bell's support; every other entry is 0.0.
+    A scalar x gives shape (len(atoms),).  With `coeffs`, the result is
+    sum_i coeffs[i] * atom_i^(order)(x), of shape x.shape, added up bell by
+    bell, so no len(x) x len(atoms) array is formed.  This is the one atom
+    evaluator: each distinct bell's jet, and each atom's cosine factor, is
+    computed once on the points of x inside the bell's support; every other
+    entry is 0.0.
     """
     if not 0 <= order <= MAX_ATOM_DERIVATIVE:
         raise UnsupportedOrderError(
@@ -86,7 +89,8 @@ def atom_matrix(atoms, x, order: int = 0) -> np.ndarray:
         )
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
-    out = np.zeros((len(flat), len(atoms)))
+    columns = (len(atoms),) if coeffs is None else ()
+    out = np.zeros((len(flat),) + columns)
     by_bell: dict[BellWindow, list[int]] = {}
     for i, a in enumerate(atoms):
         by_bell.setdefault(a.bell, []).append(i)
@@ -95,20 +99,27 @@ def atom_matrix(atoms, x, order: int = 0) -> np.ndarray:
         inside = np.flatnonzero((flat >= lo) & (flat <= hi))
         xs = flat[inside]
         b = bell.jet(xs, order)
+        total = None if coeffs is None else np.zeros(len(xs))
         for i in cols:
             a = atoms[i]
             omega = 2.0 * np.pi * a.xi
             phase = omega * (xs - a.alpha)
             c = np.cos(phase)
             if order == 0:
-                out[inside, i] = a.norm_factor * b[0] * c
+                col = a.norm_factor * b[0] * c
             elif order == 1:
-                out[inside, i] = a.norm_factor * (b[1] * c - omega * b[0] * np.sin(phase))
+                col = a.norm_factor * (b[1] * c - omega * b[0] * np.sin(phase))
             else:
-                out[inside, i] = a.norm_factor * (
+                col = a.norm_factor * (
                     b[2] * c - 2.0 * omega * b[1] * np.sin(phase) - omega * omega * b[0] * c
                 )
-    return out.reshape(x.shape + (len(atoms),))
+            if total is None:
+                out[inside, i] = col
+            else:
+                total += coeffs[i] * col
+        if total is not None:
+            out[inside] += total
+    return out.reshape(x.shape + columns)
 
 
 @dataclass(frozen=True)

@@ -53,32 +53,37 @@ class GevreyProfile:
     def gamma(self) -> float:
         return (1.0 - self.eta) / self.eta
 
-    def _transition(self, u: np.ndarray):
-        """v, v', v'' on the unit interval (vectorized, saturation-safe)."""
+    def _transition(self, u: np.ndarray, order: int = 0) -> list:
+        """[v, v', v''] up to `order` on the unit interval (saturation-safe).
+
+        Only points strictly inside (0, 1) are computed: below it v is 0,
+        above it 1, and every derivative is 0 on both sides.
+        """
         g = self.gamma
         mu = SHARPNESS
-        u = np.clip(u, 0.0, 1.0)
-        uc = np.clip(u, 1e-12, 1.0 - 1e-12)
+        u = np.asarray(u, dtype=float)
+        flat = u.reshape(-1)
+        out = [np.where(flat >= 1.0, 1.0, 0.0)] + [np.zeros(flat.shape) for _ in range(order)]
+        # the edges stay exactly 0/1 whatever the clamped exponent would say:
+        # for small gamma the clamp alone no longer saturates exp.  On the
+        # ramp, a saturated exponent gives exactly 0 or 1 as well.
+        ramp = np.flatnonzero((flat > 0.0) & (flat < 1.0))
+        uc = np.clip(flat[ramp], 1e-12, 1.0 - 1e-12)
         q = mu * (uc ** (-g) - (1.0 - uc) ** (-g))
-        # points at (or clipped onto) the edges are exactly 0/1 whatever the
-        # clamped exponent says; for small gamma the clamp alone no longer
-        # saturates exp
-        live = (np.abs(q) <= _EXP_CAP) & (u > 0.0) & (u < 1.0)
-        v = np.where(q > 0.0, 0.0, 1.0)
-        dv = np.zeros_like(uc)
-        d2v = np.zeros_like(uc)
-        if np.any(live):
-            ul = uc[live]
-            ql = q[live]
-            vl = 1.0 / (1.0 + np.exp(ql))
+        out[0][ramp] = np.where(q > 0.0, 0.0, 1.0)
+        live = np.abs(q) <= _EXP_CAP
+        at, ul, ql = ramp[live], uc[live], q[live]
+        vl = 1.0 / (1.0 + np.exp(ql))
+        out[0][at] = vl
+        if order >= 1:
             w = vl * (1.0 - vl)
             qp = -mu * g * (ul ** (-g - 1.0) + (1.0 - ul) ** (-g - 1.0))
-            qpp = mu * g * (g + 1.0) * (ul ** (-g - 2.0) - (1.0 - ul) ** (-g - 2.0))
             dvl = -qp * w
-            v[live] = vl
-            dv[live] = dvl
-            d2v[live] = -qpp * w - qp * dvl * (1.0 - 2.0 * vl)
-        return v, dv, d2v
+            out[1][at] = dvl
+        if order == 2:
+            qpp = mu * g * (g + 1.0) * (ul ** (-g - 2.0) - (1.0 - ul) ** (-g - 2.0))
+            out[2][at] = -qpp * w - qp * dvl * (1.0 - 2.0 * vl)
+        return [a.reshape(u.shape) for a in out]
 
     def jet(self, t, order: int = 0) -> list:
         """[rho, rho', rho''] at t up to `order`, from one _transition pass."""
@@ -87,14 +92,14 @@ class GevreyProfile:
                 f"profile derivatives implemented up to order {MAX_BELL_DERIVATIVE}"
             )
         t = np.asarray(t, dtype=float)
-        v, dv, d2v = self._transition((t + 1.0) * 0.5)
-        half_pi_v = 0.5 * np.pi * v
+        v = self._transition((t + 1.0) * 0.5, order)
+        half_pi_v = 0.5 * np.pi * v[0]
         out = [np.sin(half_pi_v)]
         if order >= 1:
             cos = np.cos(half_pi_v)
-            out.append(0.25 * np.pi * cos * dv)
+            out.append(0.25 * np.pi * cos * v[1])
         if order == 2:
-            out.append(0.125 * np.pi * (cos * d2v - 0.5 * np.pi * out[0] * dv * dv))
+            out.append(0.125 * np.pi * (cos * v[2] - 0.5 * np.pi * out[0] * v[1] * v[1]))
         return out
 
 

@@ -39,7 +39,10 @@ with a rule of four more levels, half the panel width and 16 nodes per
 panel to about 1e-15, so the residual and tail printed for a witness are
 those of its transform, not of the quadrature.  The uniform 2^16-point grid
 on [-R1, R1] serves only the sampled witness: its sup, its L2 norm and the
-support check.
+support check.  Wherever only f itself is needed, on that grid, on the rule
+nodes of the tail and on the support check, f = sum_i a_i col_i is summed
+bell by bell inside atom_matrix (_columns with coeffs), so no
+points x |S| matrix is formed.
 
 Coefficients are the normalized orthogonal projection of the all-ones
 vector onto the numerical null space (the right singular vectors whose
@@ -124,13 +127,15 @@ class WitnessProblem:
         return build_basis(w, self.eta).atoms_for(S.entries)
 
 
-def _columns(p: WitnessProblem, atoms, x, order: int = 0) -> np.ndarray:
+def _columns(p: WitnessProblem, atoms, x, order: int = 0, coeffs=None) -> np.ndarray:
     """Order-`order` derivatives of each scaled, parity-extended atom at x.
 
-    Shape (len(x), len(atoms)), or (len(atoms),) for a scalar x.  The chain
-    rule gives the factor (2 R2)^order; under parity, f(x) = +-f(-x) makes
-    the sign (-1)^order for x < 0, negated again under odd parity, and an odd
-    f has every even-order derivative zero at 0.
+    Shape (len(x), len(atoms)), or (len(atoms),) for a scalar x; with
+    `coeffs`, their combination sum_i coeffs[i] col_i, of shape x.shape,
+    summed inside atom_matrix.  The chain rule gives the factor
+    (2 R2)^order; under parity, f(x) = +-f(-x) makes the sign (-1)^order
+    for x < 0, negated again under odd parity, and an odd f has every
+    even-order derivative zero at 0.
     """
     x = np.asarray(x, dtype=float)
     if p.parity == "none":
@@ -139,8 +144,9 @@ def _columns(p: WitnessProblem, atoms, x, order: int = 0) -> np.ndarray:
         t = p.R2 * (2.0 * np.abs(x) - p.R1)
         flip = -1.0 if p.parity == "odd" else 1.0
         sign = np.where(x < 0, flip * (-1.0) ** order, 1.0)
-    cols = atom_matrix(atoms, t, order)
-    cols *= (sign * (2.0 * p.R2) ** order)[..., None]
+    cols = atom_matrix(atoms, t, order, coeffs)
+    scale = sign * (2.0 * p.R2) ** order
+    cols *= scale[..., None] if coeffs is None else scale
     if p.parity == "odd" and order % 2 == 0:
         cols[x == 0.0] = 0.0
     return cols
@@ -298,7 +304,7 @@ def solve_witness(p: WitnessProblem) -> WitnessResult:
     if len(lead) and coeffs[lead[0]] < 0:
         coeffs = -coeffs
     residual = float(np.max(np.abs(A @ coeffs), initial=0.0))
-    f = SampledFunction.from_callable(lambda x: _columns(p, atoms, x) @ coeffs,
+    f = SampledFunction.from_callable(lambda x: _columns(p, atoms, x, coeffs=coeffs),
                                       (-p.R1, p.R1))
     sup_x, sup_val = sup_norm(f)
     return WitnessResult(
@@ -342,7 +348,7 @@ def tail_certificate(res: WitnessResult, n_xi: int = 400) -> TailReport:
     n_orders = min(int(p.scheme.L), MAX_FT_DERIVATIVE) + 1
     atoms = p.atoms()
     x, w = _transform_nodes(p, atoms)
-    f = (_columns(p, atoms, x) @ res.coefficients) * w
+    f = _columns(p, atoms, x, coeffs=res.coefficients) * w
     moments = f[:, None] * (-2j * np.pi * x[:, None]) ** np.arange(n_orders)
     xi, sweep = _sweep(x, moments, p.R2, 3.0 * p.R2 / n_xi, n_xi)
     maxima = tuple((k, float(np.max(np.abs(sweep[:, k])))) for k in range(n_orders))
@@ -361,7 +367,7 @@ def outside_support_max(res: WitnessResult) -> float:
     p = res.problem
     x = np.linspace(p.R1, 2.0 * p.R1, OUTSIDE_POINTS + 1)[1:]
     both = np.concatenate([-x, x])
-    vals = _columns(p, p.atoms(), both) @ res.coefficients
+    vals = _columns(p, p.atoms(), both, coeffs=res.coefficients)
     return float(np.max(np.abs(vals)))
 
 

@@ -81,6 +81,28 @@ def test_atom_matrix_values_and_derivatives():
         assert atoms[1].derivative(3.7, order) == row[1]
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_atom_matrix_coefficient_sum_matches_dense_product(order):
+    basis = _basis()
+    # atoms on six bells, two or more on some, so the sum crosses bell overlaps
+    keys = ((4, 0), (4, 5), (4, 9), (2, 0), (2, 1), (3, 2), (6, 1), (0, 0), (8, 0), (8, 1))
+    atoms = [basis.atom(j, k) for j, k in keys]
+    coeffs = np.random.default_rng(7).standard_normal(len(atoms))
+    x = np.linspace(-16.5, 16.5, 6001)
+    cols = atom_matrix(atoms, x, order)
+    got = atom_matrix(atoms, x, order, coeffs)
+    assert got.shape == x.shape
+    scale = np.max(np.abs(cols) @ np.abs(coeffs))
+    assert np.max(np.abs(got - cols @ coeffs)) <= 1e-15 * scale
+    point = atom_matrix(atoms, 3.7, order, coeffs)
+    assert point.shape == ()
+    assert abs(point - atom_matrix(atoms, 3.7, order) @ coeffs) <= 1e-15 * scale
+    # outside every support the sum is exactly zero, as every column is
+    outside = np.array([-17.0, -16.5, 16.5, 17.0])
+    assert np.all(atom_matrix(atoms, outside, order, coeffs) == 0.0)
+    assert atom_matrix(atoms, 16.75, order, coeffs) == 0.0
+
+
 @pytest.mark.parametrize("eta", [0.3, 0.5])
 def test_concentration_exponent_within_15_percent(eta):
     basis = _basis(D=32.0, eta=eta)

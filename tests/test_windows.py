@@ -7,8 +7,8 @@ from tfloc.errors import DomainError, UnsupportedOrderError
 from tfloc.fitting import envelope_points, fit_decay
 from tfloc.fourier import SampledFunction, ft_grid
 from tfloc.whitney import whitney_decompose
-from tfloc.windows import (GevreyProfile, build_bells, interior_region,
-                           partition_of_energy)
+from tfloc.windows import (_EXP_CAP, SHARPNESS, GevreyProfile, build_bells,
+                           interior_region, partition_of_energy)
 
 JUNCTION_TOL = 1e-10
 ENERGY_TOL = 1e-9
@@ -32,6 +32,52 @@ def test_profile_folding_identity(eta):
     assert np.max(np.abs(total - 1.0)) < 1e-12
     assert np.all(rho.jet(t[t <= -1.0])[0] == 0.0)
     assert np.all(rho.jet(t[t >= 1.0])[0] == 1.0)
+
+
+def _full_array_transition(eta, u):
+    """v, v', v'' on the unit interval, computed at every point of u."""
+    g = (1.0 - eta) / eta
+    mu = SHARPNESS
+    u = np.clip(u, 0.0, 1.0)
+    uc = np.clip(u, 1e-12, 1.0 - 1e-12)
+    q = mu * (uc ** (-g) - (1.0 - uc) ** (-g))
+    live = (np.abs(q) <= _EXP_CAP) & (u > 0.0) & (u < 1.0)
+    v = np.where(q > 0.0, 0.0, 1.0)
+    dv = np.zeros_like(uc)
+    d2v = np.zeros_like(uc)
+    ul = uc[live]
+    ql = q[live]
+    vl = 1.0 / (1.0 + np.exp(ql))
+    w = vl * (1.0 - vl)
+    qp = -mu * g * (ul ** (-g - 1.0) + (1.0 - ul) ** (-g - 1.0))
+    qpp = mu * g * (g + 1.0) * (ul ** (-g - 2.0) - (1.0 - ul) ** (-g - 2.0))
+    dvl = -qp * w
+    v[live] = vl
+    dv[live] = dvl
+    d2v[live] = -qpp * w - qp * dvl * (1.0 - 2.0 * vl)
+    return v, dv, d2v
+
+
+@pytest.mark.parametrize("eta", [0.0909, 0.3, 0.5, 0.9, 0.97])
+def test_ramp_only_transition_matches_full_array_formula(eta):
+    # at eta = 0.97 the exponent at the 1e-12 clamp is about 0.4, so only
+    # the (0, 1) test, not exp saturation, makes the edge values exactly 0/1
+    edges = [1.0, 1.0 - 1e-13, 1.0 + 1e-13, np.nextafter(1.0, 2.0), 1.5]
+    t = np.concatenate([np.random.default_rng(5).uniform(-1.2, 1.2, 10**5),
+                        edges, np.negative(edges), [0.0]])
+    rho = GevreyProfile(eta)
+    for order in range(3):
+        for ts in (t, np.float64(-(1.0 - 1e-13)), np.float64(0.37)):
+            u = (np.asarray(ts) + 1.0) * 0.5
+            got = rho._transition(u, order)
+            want = _full_array_transition(eta, u)[: order + 1]
+            assert len(got) == order + 1
+            for a, b in zip(got, want):
+                assert np.shape(a) == np.shape(ts)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    if eta == 0.97:
+        u = np.array([5e-14, 1.0 - 5e-14])
+        assert np.all(np.abs(_full_array_transition(eta, u)[0] - [0.0, 1.0]) > 0.1)
 
 
 def test_profile_derivative_matches_finite_difference():

@@ -181,9 +181,43 @@ def test_witness_independent_of_blas_threads():
         assert a["tail_weighted_sum"] == pytest.approx(b["tail_weighted_sum"], rel=1e-12, abs=0)
 
 
-def test_witness_confined_to_support(thin_none, thin_even):
+def test_witness_confined_to_support(thin_none, thin_even, thin_odd):
     assert outside_support_max(thin_none) == 0.0
     assert outside_support_max(thin_even) == 0.0
+    assert outside_support_max(thin_odd) == 0.0
+
+
+@pytest.mark.parametrize("parity", witness.PARITIES)
+def test_columns_coefficient_sum_matches_dense_product(parity):
+    p = WitnessProblem(THINNED, 3.0, 3.0, 0.10, 0.1, parity)
+    atoms = p.atoms()
+    coeffs = np.random.default_rng(3).standard_normal(len(atoms))
+    x = np.append(np.linspace(-3.5, 3.5, 3001), [0.0, -3.0, 3.0])
+    for order in range(3):
+        cols = witness._columns(p, atoms, x, order)
+        got = witness._columns(p, atoms, x, order, coeffs=coeffs)
+        assert got.shape == x.shape
+        scale = np.max(np.abs(cols) @ np.abs(coeffs))
+        assert np.max(np.abs(got - cols @ coeffs)) <= 1e-15 * scale
+        zero = witness._columns(p, atoms, 0.0, order, coeffs=coeffs)
+        assert zero.shape == ()
+        assert abs(zero - witness._columns(p, atoms, 0.0, order) @ coeffs) <= 1e-15 * scale
+        if parity == "odd" and order % 2 == 0:
+            assert got[-3] == 0.0 and zero == 0.0
+        assert np.all(got[np.abs(x) > 3.0] == 0.0)
+
+
+def test_solve_memory_stays_below_the_grid_matrix():
+    # the sampled witness is summed bell by bell: the solve never holds the
+    # 65,537 x |S| grid matrix (17 MiB for the README witness's 34 atoms)
+    p = WitnessProblem(THINNED, 3.0, 3.0, 0.22, 0.1)
+    tracemalloc.start()
+    try:
+        solve_witness(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_even_parity_full_obstructed(full_even):
