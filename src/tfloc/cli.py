@@ -11,7 +11,7 @@ subcommand accepts only the options it reads: --json, --output and
 
 Exit codes: 0 success, 1 usage or input error, 2 a mathematical property
 check failed.  Heavy imports happen inside the handlers so that --threads
-(or TFLOC_THREADS) can cap the BLAS pool before the first numpy import.
+can cap the BLAS pool before the first numpy import.
 """
 
 from __future__ import annotations
@@ -370,7 +370,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--output", metavar="PATH",
                         help="write the report to PATH instead of stdout")
     common.add_argument("--threads", type=int,
-                        help="cap BLAS worker threads (or set TFLOC_THREADS)")
+                        help="cap BLAS worker threads")
 
     p = _Parser(prog="tfloc",
                 description="verification reports for the tfloc package")
@@ -443,13 +443,7 @@ def _build_parser() -> _Parser:
 
 def _apply_threads(threads) -> None:
     if threads is None:
-        raw = os.environ.get("TFLOC_THREADS")
-        if raw is None:
-            return
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise InputError(f"TFLOC_THREADS must be an integer, got {raw!r}")
+        return
     if threads < 1:
         raise InputError("thread count must be a positive integer")
     for var in THREAD_ENV_VARS:

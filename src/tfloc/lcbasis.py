@@ -26,13 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, UnsupportedOrderError
+from .errors import DegenerateInputError, DomainError
 from .fitting import ENVELOPE_FLOOR, REL_FLOOR, DecayFit, envelope_points, fit_decay
 from .fourier import DEFAULT_GRID, SampledFunction, ft_at, ft_grid, trapezoid_weights
 from .whitney import WhitneyDecomposition, admissible_count
 from .windows import BellWindow, build_bells
-
-MAX_ATOM_DERIVATIVE = 2
 
 
 @dataclass(frozen=True)
@@ -81,12 +79,9 @@ def atom_matrix(atoms, x, order: int = 0, coeffs=None) -> np.ndarray:
     bell, so no len(x) x len(atoms) array is formed.  This is the one atom
     evaluator: each distinct bell's jet, and each atom's cosine factor, is
     computed once on the points of x inside the bell's support; every other
-    entry is 0.0.
+    entry is 0.0.  An order outside 0 .. windows.MAX_BELL_DERIVATIVE raises
+    in the bell jet.
     """
-    if not 0 <= order <= MAX_ATOM_DERIVATIVE:
-        raise UnsupportedOrderError(
-            f"atom derivatives implemented up to order {MAX_ATOM_DERIVATIVE}"
-        )
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     columns = (len(atoms),) if coeffs is None else ()

@@ -57,22 +57,22 @@ class GevreyProfile:
         """[v, v', v''] up to `order` on the unit interval (saturation-safe).
 
         Only points strictly inside (0, 1) are computed: below it v is 0,
-        above it 1, and every derivative is 0 on both sides.
+        above it 1, and every derivative is 0 on both sides.  On the ramp the
+        exponent is the true one; where it overflows or |q| > _EXP_CAP, v is
+        exactly 0 or 1 with zero derivatives.
         """
         g = self.gamma
         mu = SHARPNESS
         u = np.asarray(u, dtype=float)
         flat = u.reshape(-1)
         out = [np.where(flat >= 1.0, 1.0, 0.0)] + [np.zeros(flat.shape) for _ in range(order)]
-        # the edges stay exactly 0/1 whatever the clamped exponent would say:
-        # for small gamma the clamp alone no longer saturates exp.  On the
-        # ramp, a saturated exponent gives exactly 0 or 1 as well.
         ramp = np.flatnonzero((flat > 0.0) & (flat < 1.0))
-        uc = np.clip(flat[ramp], 1e-12, 1.0 - 1e-12)
-        q = mu * (uc ** (-g) - (1.0 - uc) ** (-g))
+        ur = flat[ramp]
+        with np.errstate(over="ignore"):
+            q = mu * (ur ** (-g) - (1.0 - ur) ** (-g))
         out[0][ramp] = np.where(q > 0.0, 0.0, 1.0)
         live = np.abs(q) <= _EXP_CAP
-        at, ul, ql = ramp[live], uc[live], q[live]
+        at, ul, ql = ramp[live], ur[live], q[live]
         vl = 1.0 / (1.0 + np.exp(ql))
         out[0][at] = vl
         if order >= 1:
@@ -157,52 +157,11 @@ def build_bells(w: WhitneyDecomposition, eta: float) -> list[BellWindow]:
     the outer delta/4 of the terminal piece and inside [-D/2, D/2].
     """
     profile = GevreyProfile(eta)
-    n = len(w.pieces)
-    # junction i sits between piece i-1 and piece i
-    centers = []
-    radii = []
-    for i in range(n + 1):
-        if i == 0:
-            a0, l0 = w.pieces[0]
-            centers.append(a0 + l0 / 8.0)
-            radii.append(l0 / 8.0)
-        elif i == n:
-            an, ln_ = w.pieces[-1]
-            centers.append(an + ln_ - ln_ / 8.0)
-            radii.append(ln_ / 8.0)
-        else:
-            prev_len = w.pieces[i - 1][1]
-            next_len = w.pieces[i][1]
-            centers.append(w.pieces[i][0])
-            radii.append(min(prev_len, next_len) / 4.0)
-    return [
-        BellWindow(
-            left_center=centers[j],
-            left_radius=radii[j],
-            right_center=centers[j + 1],
-            right_radius=radii[j + 1],
-            profile=profile,
-        )
-        for j in range(n)
-    ]
-
-
-def partition_of_energy(bells: list[BellWindow], x) -> np.ndarray:
-    """sum_j b_j(x)^2; equals 1 away from the two boundary ramps."""
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x)
-    for b in bells:
-        total += b.value(x) ** 2
-    return total
-
-
-def interior_region(bells: list[BellWindow]) -> tuple[float, float]:
-    """Sub-interval on which the energy partition identity holds exactly.
-
-    Excludes the two boundary cutoff ramps (each of width delta_terminal / 4).
-    """
-    first, last = bells[0], bells[-1]
-    return (
-        first.left_center + first.left_radius,
-        last.right_center - last.right_radius,
-    )
+    # junction i sits between piece i-1 and piece i; the two ends are virtual
+    (a0, l0), (an, ln_) = w.pieces[0], w.pieces[-1]
+    lengths = [ln for _, ln in w.pieces]
+    centers = [a0 + l0 / 8.0] + [a for a, _ in w.pieces[1:]] + [an + ln_ - ln_ / 8.0]
+    radii = ([l0 / 8.0] + [min(prev, nxt) / 4.0 for prev, nxt in zip(lengths, lengths[1:])]
+             + [ln_ / 8.0])
+    return [BellWindow(lc, lr, rc, rr, profile)
+            for lc, lr, rc, rr in zip(centers, radii, centers[1:], radii[1:])]

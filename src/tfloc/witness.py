@@ -29,12 +29,12 @@ batched into a few large array operations: the lambda rows are one atom
 evaluation per derivative order, the M rows one product of their phase
 matrix (_phases, one row per node at its own point and order) with the
 weighted atom columns, the node tail the same phases times f, XI_BLOCK
-nodes at a time, and the tail sweep over its uniform frequencies factors
-each block's phases into one exponential row times phases built once
-(_sweep).  Each bell's
-Gevrey ramp turns over within about 1e-3 of its junction radius r, far
-below any uniform grid step, so the panels are graded geometrically toward
-every junction center, down to r 2^-GRADE_LEVELS.  Rows and tail agree
+nodes at a time, and the tail sweep over its n uniform frequencies splits
+them, as ft_at does, into blocks of ceil(sqrt(n)), each block's phases one
+exponential row times the ceil(sqrt(n)) phase rows built once (_sweep).
+Each bell's Gevrey ramp turns over within about 1e-3 of its junction radius
+r, far below any uniform grid step, so the panels are graded geometrically
+toward every junction center, down to r 2^-GRADE_LEVELS.  Rows and tail agree
 with a rule of four more levels, half the panel width and 16 nodes per
 panel to about 1e-15, so the residual and tail printed for a witness are
 those of its transform, not of the quadrature.  The uniform 2^16-point grid
@@ -80,8 +80,8 @@ PARITIES = ("none", "even", "odd")
 GRADE_LEVELS = 12
 PANEL_WIDTH = 0.5
 PANEL_NODES = 12
-# frequencies per phase block of _sweep and of the node tail: a block is
-# XI_BLOCK x (rule nodes), so memory does not grow with the tail's node count
+# stored nodes per phase block of the node tail: a block is XI_BLOCK x (rule
+# nodes), so memory does not grow with the tail's node count
 XI_BLOCK = 64
 # points of the support check on each side, over |x| in (R1, 2 R1]
 OUTSIDE_POINTS = 4096
@@ -195,18 +195,19 @@ def _sweep(x, g, start: float, step: float, n: int) -> tuple[np.ndarray, np.ndar
     """(xi, sum_i g_i e^(-2 pi i xi x_i)) on the uniform grid
     xi_b = start + b step, b = 1 .. n, for g of shape (nodes, m).
 
-    It is the one evaluator for uniform frequencies, the tail sweep.  A
-    block's phases factor as
+    It is the one evaluator for uniform frequencies, the tail sweep, split as
+    ft_at splits its sum: with B = ceil(sqrt(n)), a block's phases factor as
     e^(-2 pi i (xi_s + j step) x) = e^(-2 pi i xi_s x) e^(-2 pi i j step x),
-    j < XI_BLOCK, with xi_s the block's first frequency: the j-phases are
-    built once, and a block costs one exponential row, folded into g, and
-    one GEMM.
+    j < B, with xi_s the block's first frequency.  The B fine rows are built
+    once, and each of the ceil(n / B) blocks costs one coarse exponential
+    row, folded into g, and one GEMM.
     """
-    fine = np.exp(-2j * np.pi * np.outer(step * np.arange(min(n, XI_BLOCK)), x))
+    B = math.isqrt(n - 1) + 1
+    fine = np.exp(-2j * np.pi * np.outer(step * np.arange(B), x))
     out = np.empty((n, g.shape[1]), dtype=complex)
-    for s in range(0, n, XI_BLOCK):
+    for s in range(0, n, B):
         coarse = np.exp(-2j * np.pi * (start + (s + 1) * step) * x)
-        out[s : s + XI_BLOCK] = fine[: n - s] @ (coarse[:, None] * g)
+        out[s : s + B] = fine[: n - s] @ (coarse[:, None] * g)
     return start + step * np.arange(1, n + 1), out
 
 

@@ -232,10 +232,8 @@ def test_thread_cap_sets_env(tmp_path, monkeypatch):
     assert all(os.environ[var] == "2" for var in THREAD_ENV_VARS)
 
 
-def test_bad_thread_counts_exit_1(monkeypatch, capsys):
+def test_bad_thread_counts_exit_1(capsys):
     assert main(["whitney", "--D", "4", "--threads", "0"]) == 1
-    monkeypatch.setenv("TFLOC_THREADS", "lots")
-    assert main(["whitney", "--D", "4"]) == 1
     capsys.readouterr()
 
 

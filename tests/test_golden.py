@@ -1,7 +1,8 @@
 """Golden CLI reports: README commands must print byte-identical reports.
 
 Each file in tests/golden/ is the stdout of `python -m tfloc.cli ARGS
---threads 1` for the ARGS listed below.  The witness reports must also come
+--threads 1` for the ARGS listed below, and every run must leave stderr empty
+with RuntimeWarnings raised as errors.  The witness reports must also come
 out byte-identical at `--threads 2`: their noise-level fields (`residual`,
 `sigma_min`) print clamped at a floor relative to `sigma_max`.  A change
 that moves any byte must say why and regenerate the file with that same
@@ -43,8 +44,12 @@ def _report(argv, threads=1) -> bytes:
     env = dict(os.environ)
     src = str(Path(tfloc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "tfloc.cli", *argv, "--threads", str(threads)],
+    # -W error turns a RuntimeWarning inside the CLI run into a failure;
+    # pytest's own filterwarnings does not reach the subprocess
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "tfloc.cli",
+                           *argv, "--threads", str(threads)],
                           env=env, capture_output=True, check=True)
+    assert done.stderr == b""
     return done.stdout
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tfloc.errors import DomainError
+from tfloc.errors import DomainError, UnsupportedOrderError
 from tfloc.fourier import SampledFunction, ft_at, ft_grid, l2_norm
 from tfloc.lcbasis import (atom_matrix, build_basis, concentration_check,
                            derivative_bound_check, gram_check, lk_ratio_check)
@@ -79,6 +79,10 @@ def test_atom_matrix_values_and_derivatives():
         assert np.array_equal(row, atom_matrix(atoms, [3.7], order)[0])
         assert np.ndim(atoms[1].derivative(3.7, order)) == 0
         assert atoms[1].derivative(3.7, order) == row[1]
+    # the bell jet's order check is the one limit on atom derivatives
+    for order in (-1, 3):
+        with pytest.raises(UnsupportedOrderError):
+            atom_matrix(atoms, x, order)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

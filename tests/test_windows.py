@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,7 @@ from tfloc.errors import DomainError, UnsupportedOrderError
 from tfloc.fitting import envelope_points, fit_decay
 from tfloc.fourier import SampledFunction, ft_grid
 from tfloc.whitney import whitney_decompose
-from tfloc.windows import (_EXP_CAP, SHARPNESS, GevreyProfile, build_bells,
-                           interior_region, partition_of_energy)
+from tfloc.windows import _EXP_CAP, SHARPNESS, GevreyProfile, build_bells
 
 JUNCTION_TOL = 1e-10
 ENERGY_TOL = 1e-9
@@ -39,13 +40,14 @@ def _full_array_transition(eta, u):
     g = (1.0 - eta) / eta
     mu = SHARPNESS
     u = np.clip(u, 0.0, 1.0)
-    uc = np.clip(u, 1e-12, 1.0 - 1e-12)
-    q = mu * (uc ** (-g) - (1.0 - uc) ** (-g))
+    # 0 ** -g and tiny u ** -g are inf: q = +-inf saturates like |q| > _EXP_CAP
+    with np.errstate(over="ignore", divide="ignore"):
+        q = mu * (u ** (-g) - (1.0 - u) ** (-g))
     live = (np.abs(q) <= _EXP_CAP) & (u > 0.0) & (u < 1.0)
     v = np.where(q > 0.0, 0.0, 1.0)
-    dv = np.zeros_like(uc)
-    d2v = np.zeros_like(uc)
-    ul = uc[live]
+    dv = np.zeros_like(u)
+    d2v = np.zeros_like(u)
+    ul = u[live]
     ql = q[live]
     vl = 1.0 / (1.0 + np.exp(ql))
     w = vl * (1.0 - vl)
@@ -60,8 +62,9 @@ def _full_array_transition(eta, u):
 
 @pytest.mark.parametrize("eta", [0.0909, 0.3, 0.5, 0.9, 0.97])
 def test_ramp_only_transition_matches_full_array_formula(eta):
-    # at eta = 0.97 the exponent at the 1e-12 clamp is about 0.4, so only
-    # the (0, 1) test, not exp saturation, makes the edge values exactly 0/1
+    # at eta = 0.97 the exponent 5e-14 inside either ramp end is still about
+    # 0.5, so only the (0, 1) test, not exp saturation, makes the edge values
+    # exactly 0/1
     edges = [1.0, 1.0 - 1e-13, 1.0 + 1e-13, np.nextafter(1.0, 2.0), 1.5]
     t = np.concatenate([np.random.default_rng(5).uniform(-1.2, 1.2, 10**5),
                         edges, np.negative(edges), [0.0]])
@@ -78,6 +81,24 @@ def test_ramp_only_transition_matches_full_array_formula(eta):
     if eta == 0.97:
         u = np.array([5e-14, 1.0 - 5e-14])
         assert np.all(np.abs(_full_array_transition(eta, u)[0] - [0.0, 1.0]) > 0.1)
+
+
+@pytest.mark.parametrize("eta", [0.01, 0.02])
+def test_small_eta_ramp_ends_raise_no_warning(eta):
+    # gamma = 99 and 49: u^-gamma overflows one float inside either ramp end
+    t = np.array([-np.nextafter(1.0, 0.0), np.nextafter(1.0, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = GevreyProfile(eta).jet(t, 2)
+    assert rho[0].tolist() == [0.0, 1.0]
+    assert np.all(rho[1] == 0.0) and np.all(rho[2] == 0.0)
+
+
+def test_first_float_inside_the_ramp_is_below_rounding():
+    # at eta = 0.85 the true exponent there is about 220, not the 39 of
+    # u = 1e-12, so rho stays far below rounding instead of jumping to 1e-17
+    rho = GevreyProfile(0.85).jet(np.nextafter(-1.0, 0.0))[0]
+    assert 0.0 <= rho <= 1e-90
 
 
 def test_profile_derivative_matches_finite_difference():
@@ -114,10 +135,13 @@ def test_bell_value_support_and_core():
 
 @pytest.mark.parametrize("D", [2.0, 8.0, 36.0, 145.7])
 def test_partition_of_energy_interior(D):
+    # sum_j b_j^2 = 1 between the two boundary cutoff ramps
     bells = build_bells(whitney_decompose(D), 0.35)
-    lo, hi = interior_region(bells)
+    lo = bells[0].left_center + bells[0].left_radius
+    hi = bells[-1].right_center - bells[-1].right_radius
     x = np.linspace(lo, hi, 4001)
-    assert np.max(np.abs(partition_of_energy(bells, x) - 1.0)) < ENERGY_TOL
+    energy = sum(b.value(x) ** 2 for b in bells)
+    assert np.max(np.abs(energy - 1.0)) < ENERGY_TOL
 
 
 def test_bells_confined_to_interval():

@@ -339,10 +339,11 @@ def _phase_sum(x, g, xi):
     return np.exp(-2j * np.pi * np.multiply.outer(xi, x)) @ g
 
 
-@pytest.mark.parametrize("n_xi", [1, 63, 64, 65, 400])
+@pytest.mark.parametrize("n_xi", [1, 16, 17, 63, 64, 65, 399, 400])
 def test_sweep_matches_transform(thin_even, n_xi):
     # the factored blocks against the direct phase sum at the same frequencies,
-    # across the XI_BLOCK = 64 block boundary
+    # on each side of a ceil(sqrt(n)) split: 16 and 400 fill every block of
+    # 4 and 20, 17 and 399 leave the last block short
     x, g = _tail_moments(thin_even)
     R2 = thin_even.problem.R2
     step = 3.0 * R2 / n_xi
