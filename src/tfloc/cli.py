@@ -9,14 +9,15 @@ subcommand accepts only the options it reads: --json, --output and
 --threads everywhere, and a seed only where a step is randomized (witness
 --seed, the --thin orbit choice).
 
-Exit codes: 0 success, 1 usage or input error, 2 a mathematical property
-check failed.  Heavy imports happen inside the handlers so that --threads
+Exit codes: 0 success, 1 usage or input error (a report too large to
+allocate included), 2 a mathematical property check failed.  Heavy imports happen inside the handlers so that --threads
 can cap the BLAS pool before the first numpy import.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -51,52 +52,84 @@ def _jval(v):
     return v
 
 
-def _cells(report: dict, as_json: bool) -> list:
-    """The report's rows, each value formatted for CSV or rounded for JSON.
+def _json_rows(report: dict) -> list:
+    """The report's rows, each value rounded for JSON.
 
     A report may give `grid` = (x, y, z), float arrays, in place of rows: one
-    row (x[i], y[j], z[i, j]) per grid point, i-major, with each axis value
-    formatted once.
+    row (x[i], y[j], z[i, j]) per grid point, i-major.
     """
-    fmt = _jval if as_json else _fmt
     if "grid" not in report:
-        return [[fmt(v) for v in row] for row in report["rows"]]
-    # "%.12g" % v is _fmt's float rule, without its per-value type tests
-    xs, ys, zs = (["%.12g" % v for v in a.ravel().tolist()] for a in report["grid"])
-    if as_json:
-        xs, ys, zs = ([float(t) for t in col] for col in (xs, ys, zs))
+        return [[_jval(v) for v in row] for row in report["rows"]]
+    # float("%.12g" % v) is _jval's float rule, without its per-value type tests
+    xs, ys, zs = ([float("%.12g" % v) for v in a.ravel().tolist()]
+                  for a in report["grid"])
     n = len(ys)
     return [row for i, xv in enumerate(xs)
             for row in zip(itertools.repeat(xv, n), ys, zs[i * n:(i + 1) * n])]
 
 
+def _csv_chunks(report: dict):
+    """The CSV report as a sequence of strings: the config lines and column
+    header, the rows, then the summary lines.
+
+    A `grid` report yields one chunk per x value, formatted by one `%` call:
+    the row template carries every y value already formatted, and its
+    arguments interleave the row's "x," head with z[i].  "%.12g" % v is
+    _fmt's float rule, so the bytes are those of formatting each value alone.
+    """
+    head = [f"# tfloc {report['command']}"]
+    head += [f"# {k}={_fmt(report['config'][k])}" for k in sorted(report["config"])]
+    head.append(",".join(report["columns"]))
+    yield "\n".join(head) + "\n"
+    if "grid" in report:
+        x, y, z = report["grid"]
+        ys = y.tolist()
+        template = "".join("%s" + ("%.12g" % v) + ",%.12g\n" for v in ys)
+        args = [None] * (2 * len(ys))
+        for xv, zrow in zip(x.tolist(), z):
+            args[0::2] = itertools.repeat("%.12g," % xv, len(ys))
+            args[1::2] = zrow.tolist()
+            yield template % tuple(args)
+    else:
+        yield "".join(",".join(map(_fmt, row)) + "\n" for row in report["rows"])
+    yield "".join(f"# {k}={_fmt(report['summary'][k])}\n"
+                  for k in sorted(report["summary"]))
+
+
 def _emit(report: dict, args) -> None:
+    """Write the report to --output or stdout.
+
+    CSV goes out chunk by chunk (`_csv_chunks`), so a `grid` report is never
+    held as one string.  A reader that closes stdout early (`| head`) ends
+    the report quietly: the rest is sent to os.devnull.
+    """
     if args.json:
         clean = {
             "command": report["command"],
             "config": {k: _jval(v) for k, v in report["config"].items()},
             "columns": list(report["columns"]),
-            "rows": _cells(report, True),
+            "rows": _json_rows(report),
             "summary": {k: _jval(v) for k, v in report["summary"].items()},
         }
-        text = json.dumps(clean, sort_keys=True) + "\n"
+        chunks = [json.dumps(clean, sort_keys=True) + "\n"]
     else:
-        lines = [f"# tfloc {report['command']}"]
-        for k in sorted(report["config"]):
-            lines.append(f"# {k}={_fmt(report['config'][k])}")
-        lines.append(",".join(report["columns"]))
-        lines.extend(map(",".join, _cells(report, False)))
-        for k in sorted(report["summary"]):
-            lines.append(f"# {k}={_fmt(report['summary'][k])}")
-        text = "\n".join(lines) + "\n"
+        chunks = _csv_chunks(report)
     if args.output:
         try:
             with open(args.output, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise InputError(f"cannot write {args.output}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter's final flush would raise again: point stdout's
+        # descriptor at os.devnull, as the Python signal docs recommend
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _load_zeros(path):
@@ -363,6 +396,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -466,6 +500,9 @@ def main(argv=None) -> int:
         return 2
     except TflocInputError as exc:
         print(f"tfloc {args.command}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"tfloc {args.command}: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

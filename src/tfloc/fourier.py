@@ -157,6 +157,10 @@ def ft_grid(f: SampledFunction, m: int = 0, pad: int = 8):
     Returns (xi, values) with xi ascending and spacing 1 / (pad_len * step).
     Identical to ft_at on the same xi up to roundoff: the two end samples
     are halved before the FFT, so it computes the trapezoid rule itself.
+    Only the spectrum is reordered (one fftshift); xi is built in ascending
+    order, the same values as fftshift(fftfreq(pad_len, step)), and the
+    phase and scaling are applied in place, in the order
+    step * spectrum * exp((-2 pi i xi) x0).
     """
     g = _moment_samples(f, m)
     n = len(g)
@@ -165,10 +169,14 @@ def ft_grid(f: SampledFunction, m: int = 0, pad: int = 8):
     g[0] *= 0.5
     g[-1] *= 0.5
     pad_len = 1 << int(np.ceil(np.log2(n * pad)))
-    spec = np.fft.fft(g, pad_len)
-    xi = np.fft.fftfreq(pad_len, d=f.step)
-    vals = f.step * spec * np.exp(-2j * np.pi * xi * f.support[0])
-    return np.fft.fftshift(xi), np.fft.fftshift(vals)
+    vals = np.fft.fftshift(np.fft.fft(g, pad_len))
+    xi = np.arange(-(pad_len // 2), pad_len - pad_len // 2) * (1.0 / (pad_len * f.step))
+    phase = (-2j * np.pi) * xi
+    phase *= f.support[0]
+    np.exp(phase, out=phase)
+    vals *= f.step
+    vals *= phase
+    return xi, vals
 
 
 def l2_norm(f: SampledFunction) -> float:

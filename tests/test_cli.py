@@ -1,16 +1,19 @@
+import argparse
 import importlib.resources
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import tfloc
-from tfloc.cli import THREAD_ENV_VARS, _build_parser, main
+from tfloc.cli import THREAD_ENV_VARS, _build_parser, _emit, _fmt, main
 
 WHITNEY_D8 = """\
 # tfloc whitney
@@ -25,8 +28,19 @@ left,length,in_Jprime
 # pieces=5
 """
 
+BOUND_README = ["bound", "--scheme", "rv", "--R1-max", "10", "--R2-max", "10",
+                "--step", "0.01", "--eps", "0.1"]
+
 WITNESS_ARGS = ["witness", "--scheme", "rv", "--R1", "2", "--R2", "2",
                 "--C", "0.3", "--eps", "0.1", "--thin", "0.35", "--seed", "7"]
+
+
+def _cli_env():
+    """The environment of a `python -m tfloc.cli` subprocess: this tfloc first."""
+    env = dict(os.environ)
+    src = str(Path(tfloc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def _schema():
@@ -160,6 +174,8 @@ def test_input_errors_exit_1(tmp_path, capsys):
         ["decay", "fit", "--D", "32", "--eta", "0.3", "--j", "5", "--k", "0", "--n", "0"],
         ["witness", "--scheme", "rv", "--R1", "3", "--R2", "3", "--C", "0.22",
          "--eps", "0.1", "--thin", "0.2", "--seed", "-1"],
+        # a 9,000,001^2 grid is above the 47-bit address space: MemoryError
+        [*BOUND_README[:-3], "1e-6", "--eps", "0.1"],
     ]
     for argv in out_of_range:
         assert main(argv) == 1, argv
@@ -194,10 +210,7 @@ NON_FINITE_OPTIONS = [
 @pytest.mark.parametrize("argv", NON_FINITE_OPTIONS,
                          ids=["R1-nan", "R2-inf", "eps-nan", "R1-max-nan", "W-nan"])
 def test_non_finite_options_are_usage_errors(argv):
-    env = dict(os.environ)
-    src = str(Path(tfloc.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "tfloc.cli", *argv], env=env,
+    done = subprocess.run([sys.executable, "-m", "tfloc.cli", *argv], env=_cli_env(),
                           capture_output=True, text=True)
     assert done.returncode == 1
     assert done.stdout == ""
@@ -239,10 +252,66 @@ def test_bad_thread_counts_exit_1(capsys):
 
 def test_import_loads_no_numpy():
     # --threads must set the BLAS thread variables before numpy first loads
-    env = dict(os.environ)
-    src = str(Path(tfloc.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import sys, tfloc, tfloc.cli; print('numpy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def _reference_grid_csv(report):
+    """A grid report's CSV written value by value with _fmt."""
+    lines = [f"# tfloc {report['command']}"]
+    lines += [f"# {k}={_fmt(v)}" for k, v in sorted(report["config"].items())]
+    lines.append(",".join(report["columns"]))
+    x, y, z = report["grid"]
+    for i, xv in enumerate(x.tolist()):
+        for j, yv in enumerate(y.tolist()):
+            lines.append(",".join(map(_fmt, (xv, yv, float(z[i, j])))))
+    lines += [f"# {k}={_fmt(v)}" for k, v in sorted(report["summary"].items())]
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_Z = [-0.0, 1e-05, 3.5e-14, 1e16, 123456789012.5, 2.0, -7.0, 0.1 + 0.2]
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (8, 3), (1, 8), (8, 1), (1, 1)])
+def test_grid_csv_matches_per_value_format(shape, tmp_path):
+    rng = np.random.default_rng(sum(shape))
+    x = np.array([1.0, 1.25, 3.0, -0.0, 1e-05, 2.5e13, 7.0, 1 / 3])[:shape[0]]
+    y = np.array([2.0, 123456789012.5, -0.0, 1e16, 0.5, 1e-300, 9.75, 2 / 3])[:shape[1]]
+    z = rng.permutation(np.resize(SPECIAL_Z, shape[0] * shape[1])).reshape(shape)
+    report = {"command": "bound", "config": {"step": 0.25, "scheme": "rv"},
+              "columns": ["R1", "R2", "slack"], "grid": (x, y, z),
+              "summary": {"min_slack": -0.0, "argmin_R1": 1.0, "C_fit": 1e-05}}
+    out = tmp_path / "grid.csv"
+    _emit(report, argparse.Namespace(json=False, output=str(out)))
+    assert out.read_text() == _reference_grid_csv(report)
+
+
+def test_closed_stdout_exits_quietly():
+    # `tfloc bound ... | head -c 100`: the reader leaves after 100 bytes of a
+    # 14 MB report, and the rest of the report must not raise
+    proc = subprocess.Popen([sys.executable, "-m", "tfloc.cli", *BOUND_README],
+                            env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
+
+
+def test_bound_memory_stays_below_the_report_rows(tmp_path):
+    # the CSV is written one grid row at a time: at step 0.04 (51,076 rows)
+    # the whole report as one string, with its row tuples, peaked at 10 MiB;
+    # each float array of the grid takes 0.4 MiB
+    out = tmp_path / "b.csv"
+    argv = [*BOUND_README[:-3], "0.04", "--eps", "0.1", "--output", str(out)]
+    assert main(argv) == 0  # imports stay out of the traced peak
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

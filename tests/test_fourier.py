@@ -159,6 +159,41 @@ def test_ft_grid_end_weights(m):
     assert np.max(np.abs(vals[pick] - ft_at(f, xi[pick], m=m))) <= 1e-12 * scale
 
 
+def _fftfreq_ft_grid(f, m, pad):
+    """ft_grid's sum written with fftfreq and an fftshift of xi and of the
+    scaled values, as it was before the in-place phase."""
+    g = f.samples.astype(complex)
+    if m:
+        g = g * (-2j * np.pi * f.grid) ** m
+    g[0] *= 0.5
+    g[-1] *= 0.5
+    pad_len = 1 << int(np.ceil(np.log2(len(g) * pad)))
+    spec = np.fft.fft(g, pad_len)
+    xi = np.fft.fftfreq(pad_len, d=f.step)
+    vals = f.step * spec * np.exp(-2j * np.pi * xi * f.support[0])
+    return np.fft.fftshift(xi), np.fft.fftshift(vals)
+
+
+@pytest.mark.parametrize("n", [9, 1025])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_ft_grid_bit_identical_to_fftfreq_formula(n, kind):
+    # the in-place phase keeps the association step * spectrum * phase, and
+    # the ascending xi are the values fftfreq computes: no bit may move
+    rng = np.random.default_rng(n)
+    x = np.linspace(-1.3, 2.1, n)
+    bump = np.sin(np.pi * (x + 1.3) / 3.4) ** 3
+    samples = bump * rng.standard_normal(n)
+    if kind == "complex":
+        samples = samples + 1j * bump * rng.standard_normal(n)
+    samples[0] = samples[-1] = 0.0
+    f = SampledFunction((-1.3, 2.1), 3.4 / (n - 1), samples)
+    for m in range(3):
+        for pad in (1, 2, 8, 16):
+            got, want = ft_grid(f, m=m, pad=pad), _fftfreq_ft_grid(f, m, pad)
+            for a, b in zip(got, want):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (m, pad)
+
+
 def test_plancherel_gaussian():
     f = _gaussian(1 << 13)
     xi, vals = ft_grid(f, pad=8)
