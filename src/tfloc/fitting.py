@@ -82,7 +82,11 @@ def fit_decay(
     """Fit the subexponential envelope model to (u, mag) envelope samples.
 
     exponent fixes p; otherwise p is scanned over 0.05..1.30 in steps of
-    0.0025.  beta is held at prefactor_power.
+    0.0025.  beta is held at prefactor_power.  Every candidate's (c0, a) is
+    the minimum-norm least-squares solution, as np.linalg.lstsq gives it,
+    and all candidates are solved in one batched pseudo-inverse (one stack
+    of len(u) x 2 SVDs) rather than one lstsq call each.  The first
+    candidate with the least residual and a positive rate wins.
     Raises DecayViolationError when no candidate yields a positive rate.
     """
     u = np.asarray(u, dtype=float)
@@ -94,18 +98,20 @@ def fit_decay(
         candidates = np.asarray([float(exponent)])
     else:
         candidates = np.arange(0.05, 1.3005, 0.0025)
-    best = None
-    for p in candidates:
-        X = np.column_stack([np.ones_like(u), -(u**p)])
-        coef, *_ = np.linalg.lstsq(X, target, rcond=None)
-        sse = float(np.sum((target - X @ coef) ** 2))
-        if coef[1] > 0.0 and np.isfinite(sse) and (best is None or sse < best[0]):
-            best = (sse, float(p), coef)
-    if best is None:
+    X = np.empty((len(candidates), len(u), 2))
+    X[..., 0] = 1.0
+    X[..., 1] = -(u ** candidates[:, None])
+    # lstsq's default cutoff for small singular values
+    coefs = np.linalg.pinv(X, rcond=len(u) * np.finfo(float).eps) @ target
+    misfit = target - (X @ coefs[..., None])[..., 0]
+    sse = np.einsum("ij,ij->i", misfit, misfit)
+    ok = (coefs[:, 1] > 0.0) & np.isfinite(sse)
+    if not ok.any():
         raise DecayViolationError(
             "decay fit failed: no exponent candidate gave a positive rate"
         )
-    sse, p, coef = best
+    i = int(np.argmin(np.where(ok, sse, np.inf)))
+    sse, p, coef = float(sse[i]), float(candidates[i]), coefs[i]
     return DecayFit(
         amplitude=float(np.exp(min(coef[0], 700.0))),
         rate=float(coef[1]),

@@ -11,14 +11,18 @@ merely piecewise-smooth inputs.
 
 ``ft_at`` evaluates the n-point trapezoid sum at arbitrary xi (scalar,
 uniform or not) through one factorisation: with B = ceil(sqrt(n)) and
-A = ceil(n / B), the sum splits into A coarse phases times B fine ones, so
-each xi costs A + B complex exponentials instead of n, each block of 1024 xi
-one complex GEMM, and no phase block is larger than 1024 x ceil(sqrt(n)).
-It is the same trapezoid sum as the direct n-term phase matrix and agrees
-with it to roundoff.  ``ft_grid`` computes the same trapezoid sum on the
-FFT's uniform frequencies: the two end samples are halved before a
-zero-padded FFT, and one phase e^{-2 pi i xi x0} per frequency moves the
-sum to the window.  It reproduces ``ft_at`` values to roundoff.
+A = ceil(n / B), the sum splits into A coarse phases times B fine ones.  For
+each xi both phase rows are cumulative products of one exponential each, so
+a xi costs 2 complex exponentials and A + B complex products instead of n
+exponentials, each block of 1024 xi one complex GEMM, and no phase block is
+larger than 1024 x ceil(sqrt(n)).  It is the same trapezoid sum as the
+direct n-term phase matrix and agrees with it to roundoff.  ``ft_grid``
+computes the same trapezoid sum on the FFT's uniform frequencies: the two
+end samples are halved before a zero-padded FFT, and one phase
+e^{-2 pi i xi x0} per frequency moves the sum to the window.  It reproduces
+``ft_at`` values to roundoff.  ``ft_abs_half`` gives |``ft_grid``| on the
+same frequencies with xi >= 0 for real samples, from one real FFT of half
+the length and without the phase: |F f(-xi)| = |F f(xi)| when f is real.
 """
 
 from __future__ import annotations
@@ -124,11 +128,16 @@ def ft_at(f: SampledFunction, xi, m: int = 0):
         sum_k g_k w_k e^{-2 pi i xi x_k}
             = sum_a e^{-2 pi i xi (x0 + a B h)} sum_b G[a, b] e^{-2 pi i xi b h},
 
-    where G is g w zero-padded to an A x B array.  Each block of up to
-    _XI_BLOCK frequencies costs one complex GEMM (block x B) @ (B x A) and
-    A + B exponentials per xi instead of n, and no phase block is larger
-    than _XI_BLOCK x B.  The sum is the same one the direct n-term phase
-    matrix computes; only the rounding of the phases differs.
+    where G is g w zero-padded to an A x B array.  For each xi the fine row
+    e^{-2 pi i xi b h}, b < B, is the cumulative product of e^{-2 pi i xi h}
+    from 1, and the coarse row e^{-2 pi i xi (x0 + a B h)}, a < A, that of
+    e^{-2 pi i xi B h} from e^{-2 pi i xi x0}: 2 exponentials and A + B
+    products per xi instead of n exponentials.  Each block of up to
+    _XI_BLOCK frequencies costs one complex GEMM (A x B) @ (B x block), and
+    no phase block is larger than B x _XI_BLOCK.  The sum is the same one
+    the direct n-term phase matrix computes; only the rounding of the
+    phases differs, by at most about (A + B) ulps of relative phase error
+    from the products.
     """
     g = _moment_samples(f, m) * f.weights
     n = len(g)
@@ -136,19 +145,39 @@ def ft_at(f: SampledFunction, xi, m: int = 0):
     A = -(-n // B)
     G = np.zeros(A * B, dtype=complex)
     G[:n] = g
-    Gt = G.reshape(A, B).T
-    fine = f.step * np.arange(B)
-    coarse = f.support[0] + (B * f.step) * np.arange(A)
+    G = G.reshape(A, B)
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     out = np.empty(xi_arr.shape, dtype=complex)
     for s in range(0, len(xi_arr), _XI_BLOCK):
-        block = xi_arr[s : s + _XI_BLOCK]
-        inner = np.exp(-2j * np.pi * np.outer(block, fine)) @ Gt
-        outer = np.exp(-2j * np.pi * np.outer(block, coarse))
-        out[s : s + _XI_BLOCK] = np.einsum("ij,ij->i", outer, inner)
+        turn = (-2j * np.pi) * xi_arr[s : s + _XI_BLOCK]
+        fine = np.empty((B, len(turn)), dtype=complex)
+        fine[0] = 1.0
+        fine[1:] = np.exp(turn * f.step)
+        np.cumprod(fine, axis=0, out=fine)
+        coarse = np.empty((A, len(turn)), dtype=complex)
+        coarse[0] = np.exp(turn * f.support[0])
+        coarse[1:] = np.exp(turn * (B * f.step))
+        np.cumprod(coarse, axis=0, out=coarse)
+        out[s : s + _XI_BLOCK] = np.einsum("ij,ij->j", coarse, G @ fine)
     if np.ndim(xi) == 0:
         return complex(out[0])
     return out
+
+
+def _trapezoid_fft(g: np.ndarray, step: float, pad: int, fft):
+    """fft of the trapezoid-weighted samples g, zero-padded to pad_len.
+
+    Halves g's two end samples in place, so the FFT computes the trapezoid
+    sum, and pads to pad_len, the least power of two >= len(g) * pad.
+    Returns (spectrum, pad_len, 1 / (pad_len * step)), the last the spacing
+    of its frequencies: bin j is xi = j / (pad_len * step).
+    """
+    if pad < 1:
+        raise InputError("pad must be >= 1")
+    g[0] *= 0.5
+    g[-1] *= 0.5
+    pad_len = 1 << int(np.ceil(np.log2(len(g) * pad)))
+    return fft(g, pad_len), pad_len, 1.0 / (pad_len * step)
 
 
 def ft_grid(f: SampledFunction, m: int = 0, pad: int = 8):
@@ -162,21 +191,33 @@ def ft_grid(f: SampledFunction, m: int = 0, pad: int = 8):
     phase and scaling are applied in place, in the order
     step * spectrum * exp((-2 pi i xi) x0).
     """
-    g = _moment_samples(f, m)
-    n = len(g)
-    if pad < 1:
-        raise InputError("pad must be >= 1")
-    g[0] *= 0.5
-    g[-1] *= 0.5
-    pad_len = 1 << int(np.ceil(np.log2(n * pad)))
-    vals = np.fft.fftshift(np.fft.fft(g, pad_len))
-    xi = np.arange(-(pad_len // 2), pad_len - pad_len // 2) * (1.0 / (pad_len * f.step))
+    spec, pad_len, dxi = _trapezoid_fft(_moment_samples(f, m), f.step, pad, np.fft.fft)
+    vals = np.fft.fftshift(spec)
+    xi = np.arange(-(pad_len // 2), pad_len - pad_len // 2) * dxi
     phase = (-2j * np.pi) * xi
     phase *= f.support[0]
     np.exp(phase, out=phase)
     vals *= f.step
     vals *= phase
     return xi, vals
+
+
+def ft_abs_half(f: SampledFunction, pad: int = 8):
+    """|F f| on ft_grid's frequencies with xi >= 0, for real samples.
+
+    Returns (xi, magnitudes), xi = j / (pad_len * step) for j = 0 ..
+    pad_len / 2, pad_len as in ft_grid.  Since f is real,
+    |F f(-xi)| = |F f(xi)|, so these are all of |ft_grid|'s magnitudes.
+    One real FFT of the end-halved samples gives them; the phase
+    e^{-2 pi i xi x0} is left out because it has modulus 1.  Costs about
+    half of ft_grid's complex FFT, and no complex exponential.
+    """
+    if np.iscomplexobj(f.samples):
+        raise InputError("ft_abs_half needs real samples")
+    spec, pad_len, dxi = _trapezoid_fft(f.samples.astype(float), f.step, pad, np.fft.rfft)
+    mag = np.abs(spec)
+    mag *= f.step
+    return np.arange(pad_len // 2 + 1) * dxi, mag
 
 
 def l2_norm(f: SampledFunction) -> float:

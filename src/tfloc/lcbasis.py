@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError
 from .fitting import ENVELOPE_FLOOR, REL_FLOOR, DecayFit, envelope_points, fit_decay
-from .fourier import DEFAULT_GRID, SampledFunction, ft_at, ft_grid, trapezoid_weights
+from .fourier import DEFAULT_GRID, SampledFunction, ft_abs_half, ft_at, trapezoid_weights
 from .whitney import WhitneyDecomposition, admissible_count
 from .windows import BellWindow, build_bells
 
@@ -201,15 +201,29 @@ def concentration_check(
     start is universal (TAIL_START).  A second fit with p pinned at 1 - eta
     produces the certified two-sided bound, whose amplitude is inflated until
     it dominates every measured magnitude.  Both fits and the bound use the
-    whole ft_grid sweep of the atom sampled at n + 1 points over its domain.
+    ft_grid frequencies of the atom sampled at n + 1 points over its domain,
+    those with xi >= 0 only: the atom is real, so |F Phi| is even, and so is
+    min(|xi - xi_jk|, |xi + xi_jk|).  One real FFT (ft_abs_half) gives the
+    magnitudes, and every frequency at or below the lower of the envelope's
+    and the bound's noise floors is dropped before any other arithmetic;
+    no later selection can keep one, so the report does not change.  At the
+    default n this costs about 0.08 s, most of it the FFT.
     """
     f = atom.to_sampled(n)
-    xi, vals = ft_grid(f, pad=CONCENTRATION_PAD)
-    mag = np.abs(vals)
+    xi, mag = ft_abs_half(f, pad=CONCENTRATION_PAD)
     delta = atom.delta
+    sqrt_delta = math.sqrt(delta)
+    peak = float(mag.max())
+    # envelope_points' floor on mag / sqrt(delta) and the bound's on mag,
+    # both in units of mag; the factor keeps the rounding of the division
+    # in envelope_points from keeping a sample dropped here
+    env_floor = max(ENVELOPE_FLOOR, REL_FLOOR * (peak / sqrt_delta)) * sqrt_delta
+    keep_floor = max(ENVELOPE_FLOOR, REL_FLOOR * peak)
+    live = mag > min(env_floor, keep_floor) * (1.0 - 2.0**-48)
+    xi, mag = xi[live], mag[live]
     eps_slow = min(atom.bell.left_radius, atom.bell.right_radius)
-    dist = np.minimum(np.abs(xi - atom.xi), np.abs(xi + atom.xi))
-    scaled = mag / math.sqrt(delta)
+    dist = np.abs(xi - atom.xi)
+    scaled = mag / sqrt_delta
     # free exponent, edge-scaled variable, prefactor pinned at the
     # stationary-phase order for this smoothness class
     wx, wm = envelope_points(eps_slow * dist, scaled, u_min=TAIL_START)
@@ -218,7 +232,7 @@ def concentration_check(
     ux, um = envelope_points(delta * dist, scaled, u_min=TAIL_START * delta / eps_slow)
     pinned = fit_decay(ux, um, exponent=1.0 - eta)
     # two-sided pinned bound at every measured frequency above the noise floor
-    keep = mag > max(ENVELOPE_FLOOR, REL_FLOOR * float(mag.max()))
+    keep = mag > keep_floor
     p0 = 1.0 - eta
     e1 = -pinned.rate * (delta * np.abs(xi[keep] - atom.xi)) ** p0
     e2 = -pinned.rate * (delta * np.abs(xi[keep] + atom.xi)) ** p0

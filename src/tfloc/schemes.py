@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import importlib.resources
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +146,14 @@ class BoundAudit:
     C_fit: float               # smallest C with slack >= -C log^(2+eps)(4 R1 R2)
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def audit_bound(
     scheme: InterpolationScheme,
     R1_range: tuple[float, float],
@@ -166,11 +175,26 @@ def audit_bound(
             "audit range exceeds generated nodes: "
             f"lambda extent {scheme.lambda_extent:.6g}, m extent {scheme.m_extent:.6g}"
         )
-    R1 = np.arange(R1_range[0], R1_range[1] + step * 0.5, step)
-    R2 = np.arange(R2_range[0], R2_range[1] + step * 0.5, step)
+    R1_stop = R1_range[1] + step * 0.5
+    R2_stop = R2_range[1] + step * 0.5
+    # the R1 x R2 grid is the largest array: its size, at np.arange's lengths
+    # ceil((stop - start) / step), is checked and the grid requested before
+    # any axis or count exists, so a grid that cannot fit fails at once
+    shape = (math.ceil((R1_stop - R1_range[0]) / step),
+             math.ceil((R2_stop - R2_range[0]) / step))
+    need, memory = 8.0 * shape[0] * shape[1], _physical_memory()
+    if need > memory:
+        raise MemoryError(
+            f"the {shape[0]} x {shape[1]} (R1, R2) grid needs {need / 2**30:.4g} GiB, "
+            f"more than the {memory / 2**30:.4g} GiB of physical memory"
+        )
+    slack = np.empty(shape)
+    R1 = np.arange(R1_range[0], R1_stop, step)
+    R2 = np.arange(R2_range[0], R2_stop, step)
     n1 = counting_function(scheme.lambda_nodes, R1)
     n2 = counting_function(scheme.m_nodes, R2)
-    slack = n1[:, None] + n2[None, :] - 4.0 * np.outer(R1, R2)
+    np.add(n1[:, None], n2[None, :], out=slack)
+    slack -= 4.0 * np.outer(R1, R2)
     i, j = np.unravel_index(np.argmin(slack), slack.shape)
     logs = np.log(4.0 * np.outer(R1, R2)) ** (2.0 + eps)
     C_fit = float(max(0.0, np.max(-slack / logs)))

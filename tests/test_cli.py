@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -315,3 +316,26 @@ def test_bound_memory_stays_below_the_report_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_unallocatable_bound_fails_before_any_array(tmp_path, capsys):
+    # the step-1e-6 grid (9,000,001^2 points, 589 TiB) is sized from the
+    # ranges and the step before any axis or count exists, so it fails at
+    # once and small; built after both axes and their counts it took
+    # 0.5-0.7 s and 312 MiB of peak RSS to fail
+    out = tmp_path / "b.csv"
+    assert main([*BOUND_README[:-3], "0.5", "--eps", "0.1", "--output", str(out)]) == 0
+    capsys.readouterr()  # imports stay out of the traced peak
+    argv = [*BOUND_README[:-3], "1e-6", "--eps", "0.1", "--output", str(out)]
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        assert main(argv) == 1
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 4 * 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("tfloc bound: out of memory: ") and "9000001 x 9000001" in err

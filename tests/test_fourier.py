@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfloc.errors import InputError, UnsupportedOrderError
-from tfloc.fourier import (_ENDPOINT_REL_TOL, MAX_FT_DERIVATIVE, SampledFunction, ft_at,
-                           ft_grid, l2_norm, sup_norm)
+from tfloc.fourier import (_ENDPOINT_REL_TOL, MAX_FT_DERIVATIVE, SampledFunction, ft_abs_half,
+                           ft_at, ft_grid, l2_norm, sup_norm)
+from tfloc.lcbasis import build_basis
+from tfloc.whitney import whitney_decompose
 
 GAUSS_TOL = 1e-6
 
@@ -130,6 +132,42 @@ def test_ft_at_spans_frequency_blocks():
     for m in (0, 3):
         want, scale = _direct_ft(f, xi, m)
         assert np.max(np.abs(ft_at(f, xi, m=m) - want)) <= KERNEL_REL_TOL * scale
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_ft_at_high_phase_counts(m):
+    # |xi x| reaches 16,000 turns and each phase row is a cumulative product
+    # over B = 257 fine and A = 256 coarse steps, so this covers both the
+    # products' error growth and the largest phases ft_at is asked for
+    f = _random_on_32(65537)
+    rng = np.random.default_rng(1000)
+    xi = np.concatenate([[-1000.0, -999.99, -0.37, 0.0, 1.0 / 3.0, 999.0, 1000.0],
+                         rng.uniform(-1000.0, 1000.0, 25)])
+    want, scale = _direct_ft(f, xi, m)
+    assert np.max(np.abs(ft_at(f, xi, m=m) - want)) <= KERNEL_REL_TOL * scale
+
+
+@pytest.mark.parametrize("pad", [8, 16])
+@pytest.mark.parametrize("eta", [0.3, 0.5])
+def test_ft_abs_half_matches_ft_grid(eta, pad):
+    # an atom is real, so the half spectrum holds every magnitude of the full
+    # one: xi = j / (pad_len step) for j < pad_len / 2 at ft_grid's index
+    # pad_len / 2 + j, and the Nyquist frequency at -xi of ft_grid's first
+    f = build_basis(whitney_decompose(32.0), eta).atom(5, 0).to_sampled()
+    xi, vals = ft_grid(f, pad=pad)
+    hxi, mag = ft_abs_half(f, pad=pad)
+    half = len(xi) // 2
+    assert len(hxi) == half + 1
+    assert np.array_equal(hxi[:-1], xi[half:]) and hxi[-1] == -xi[0]
+    full = np.append(np.abs(vals[half:]), abs(vals[0]))
+    scale = float(np.sum(np.abs(f.samples)) * f.step)
+    assert np.max(np.abs(mag - full)) <= 1e-15 * scale
+
+
+def test_ft_abs_half_needs_real_samples():
+    s = np.sin(np.linspace(0.0, np.pi, 64)) * (1.0 + 1.0j)
+    with pytest.raises(InputError):
+        ft_abs_half(SampledFunction((0.0, 1.0), 1.0 / 63, s))
 
 
 def test_ft_grid_matches_ft_at():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from tfloc.errors import DomainError, UnsupportedOrderError
-from tfloc.fourier import SampledFunction, ft_at, ft_grid, l2_norm
-from tfloc.lcbasis import (atom_matrix, build_basis, concentration_check,
+from tfloc.fitting import ENVELOPE_FLOOR, REL_FLOOR, envelope_points, fit_decay
+from tfloc.fourier import SampledFunction, ft_abs_half, ft_at, ft_grid, l2_norm
+from tfloc.lcbasis import (CONCENTRATION_PAD, TAIL_START, _stationary_prefactor_power,
+                           atom_matrix, build_basis, concentration_check,
                            derivative_bound_check, gram_check, lk_ratio_check)
 from tfloc.whitney import admissible_set, whitney_decompose
 
@@ -119,6 +121,45 @@ def test_concentration_exponent_within_15_percent(eta):
         assert rep.bound_rate > 0.0
         assert np.isfinite(rep.worst_ratio)
         assert rep.bound_amplitude > 0.0
+
+
+def _undropped_concentration(atom, eta):
+    """concentration_check's envelopes, fits and bound on the whole half
+    spectrum, no frequency dropped below the noise floors beforehand."""
+    f = atom.to_sampled()
+    xi, mag = ft_abs_half(f, pad=CONCENTRATION_PAD)
+    delta = atom.delta
+    eps_slow = min(atom.bell.left_radius, atom.bell.right_radius)
+    dist = np.minimum(np.abs(xi - atom.xi), np.abs(xi + atom.xi))
+    scaled = mag / math.sqrt(delta)
+    wx, wm = envelope_points(eps_slow * dist, scaled, u_min=TAIL_START)
+    fit = fit_decay(wx, wm, prefactor_power=_stationary_prefactor_power(eta))
+    ux, um = envelope_points(delta * dist, scaled, u_min=TAIL_START * delta / eps_slow)
+    pinned = fit_decay(ux, um, exponent=1.0 - eta)
+    keep = mag > max(ENVELOPE_FLOOR, REL_FLOOR * float(mag.max()))
+    p0 = 1.0 - eta
+    e1 = -pinned.rate * (delta * np.abs(xi[keep] - atom.xi)) ** p0
+    e2 = -pinned.rate * (delta * np.abs(xi[keep] + atom.xi)) ** p0
+    log_bound = math.log(pinned.amplitude) + 0.5 * math.log(delta) + np.logaddexp(e1, e2)
+    ratio = float(np.exp(np.clip(np.max(np.log(mag[keep]) - log_bound), -700.0, 700.0)))
+    return fit, pinned.rate, ratio, pinned.amplitude * max(1.0, ratio)
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.5])
+def test_concentration_drop_changes_no_bit(eta):
+    # dropping the frequencies below both noise floors before the envelopes
+    # and the bound must leave every field of the report as it was
+    basis = _basis(D=32.0, eta=eta)
+    for key in ((5, 0), (7, 1)):
+        atom = basis.atom(*key)
+        rep = concentration_check(atom, eta)
+        fit, rate, ratio, amplitude = _undropped_concentration(atom, eta)
+        got = [rep.fit.amplitude, rep.fit.rate, rep.fit.exponent, rep.fit.residual,
+               *rep.fit.u_range, rep.bound_rate, rep.worst_ratio, rep.bound_amplitude]
+        want = [fit.amplitude, fit.rate, fit.exponent, fit.residual, *fit.u_range,
+                rate, ratio, amplitude]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert rep.fit.n_points == fit.n_points
 
 
 def test_transform_moment_identity_on_atom():
