@@ -10,19 +10,17 @@ any power of the step; the documented O(step^2) rate is the floor attained by
 merely piecewise-smooth inputs.
 
 ``ft_at`` evaluates the n-point trapezoid sum at arbitrary xi (scalar,
-uniform or not) through one factorisation: with B = ceil(sqrt(n)) and
-A = ceil(n / B), the sum splits into A coarse phases times B fine ones.  For
-each xi both phase rows are cumulative products of one exponential each, so
-a xi costs 2 complex exponentials and A + B complex products instead of n
-exponentials, each block of 1024 xi one complex GEMM, and no phase block is
-larger than 1024 x ceil(sqrt(n)).  It is the same trapezoid sum as the
-direct n-term phase matrix and agrees with it to roundoff.  ``ft_grid``
-computes the same trapezoid sum on the FFT's uniform frequencies: the two
-end samples are halved before a zero-padded FFT, and one phase
-e^{-2 pi i xi x0} per frequency moves the sum to the window.  It reproduces
-``ft_at`` values to roundoff.  ``ft_abs_half`` gives |``ft_grid``| on the
-same frequencies with xi >= 0 for real samples, from one real FFT of half
-the length and without the phase: |F f(-xi)| = |F f(xi)| when f is real.
+uniform or not) through ``phase_ladder``, the one builder of factored phase
+tables, which the witness's tail sweep shares: per block of 1024 xi one
+ladder and one complex GEMM, no phase block larger than 1024 x
+ceil(sqrt(n)), and the direct n-term phase sum to the ladder's rounding.
+``ft_grid`` computes the same trapezoid sum on the FFT's uniform
+frequencies: the two end samples are halved before a zero-padded FFT, and
+one phase e^{-2 pi i xi x0} per frequency moves the sum to the window.  It
+reproduces ``ft_at`` values to roundoff.  ``ft_abs_half`` gives
+|``ft_grid``| on the same frequencies with xi >= 0 for real samples, from
+one real FFT of half the length and without the phase: |F f(-xi)| =
+|F f(xi)| when f is real.
 """
 
 from __future__ import annotations
@@ -119,45 +117,49 @@ def _moment_samples(f: SampledFunction, m: int) -> np.ndarray:
     return g
 
 
+def phase_ladder(t, start: float, step: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Phases e^{-2 pi i t (start + k step)}, k < n, factored at each t.
+
+    With B = ceil(sqrt(n)) and A = ceil(n / B), k = a B + b gives the phase
+    as coarse[a] fine[b], where coarse[a] = e^{-2 pi i t (start + a B step)}
+    (a < A) and fine[b] = e^{-2 pi i t b step} (b < B); returns (coarse,
+    fine) of shapes (A, len t) and (B, len t).  Each row is the cumulative
+    product of one exponential, from e^{-2 pi i t start} and from 1: 3
+    exponentials and A + B complex products per t instead of n
+    exponentials, at about (A + B) ulps of relative phase error from the
+    products.
+    """
+    B = math.isqrt(n - 1) + 1
+    turn = (-2j * np.pi) * np.asarray(t)
+    fine = np.empty((B, len(turn)), dtype=complex)
+    fine[0] = 1.0
+    fine[1:] = np.exp(turn * step)
+    np.cumprod(fine, axis=0, out=fine)
+    coarse = np.empty((-(-n // B), len(turn)), dtype=complex)
+    coarse[0] = np.exp(turn * start)
+    coarse[1:] = np.exp(turn * (B * step))
+    np.cumprod(coarse, axis=0, out=coarse)
+    return coarse, fine
+
+
 def ft_at(f: SampledFunction, xi, m: int = 0):
     """F f^(m)(xi) by trapezoid quadrature.  xi may be a scalar or an array.
 
-    The trapezoid sum over the n grid points x_k = x0 + k h is factored by
-    writing k = a B + b with B = ceil(sqrt(n)) and A = ceil(n / B):
+    With phase_ladder's split k = a B + b of the n grid points
+    x_k = x0 + k h, the trapezoid sum is
 
-        sum_k g_k w_k e^{-2 pi i xi x_k}
-            = sum_a e^{-2 pi i xi (x0 + a B h)} sum_b G[a, b] e^{-2 pi i xi b h},
+        sum_a e^{-2 pi i xi (x0 + a B h)} sum_b G[a, b] e^{-2 pi i xi b h},
 
-    where G is g w zero-padded to an A x B array.  For each xi the fine row
-    e^{-2 pi i xi b h}, b < B, is the cumulative product of e^{-2 pi i xi h}
-    from 1, and the coarse row e^{-2 pi i xi (x0 + a B h)}, a < A, that of
-    e^{-2 pi i xi B h} from e^{-2 pi i xi x0}: 2 exponentials and A + B
-    products per xi instead of n exponentials.  Each block of up to
-    _XI_BLOCK frequencies costs one complex GEMM (A x B) @ (B x block), and
-    no phase block is larger than B x _XI_BLOCK.  The sum is the same one
-    the direct n-term phase matrix computes; only the rounding of the
-    phases differs, by at most about (A + B) ulps of relative phase error
-    from the products.
+    G being g w zero-padded to an A x B array: one ladder and one complex
+    GEMM (A x B) @ (B x block) per block of up to _XI_BLOCK frequencies.
     """
     g = _moment_samples(f, m) * f.weights
-    n = len(g)
-    B = math.isqrt(n - 1) + 1
-    A = -(-n // B)
-    G = np.zeros(A * B, dtype=complex)
-    G[:n] = g
-    G = G.reshape(A, B)
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     out = np.empty(xi_arr.shape, dtype=complex)
     for s in range(0, len(xi_arr), _XI_BLOCK):
-        turn = (-2j * np.pi) * xi_arr[s : s + _XI_BLOCK]
-        fine = np.empty((B, len(turn)), dtype=complex)
-        fine[0] = 1.0
-        fine[1:] = np.exp(turn * f.step)
-        np.cumprod(fine, axis=0, out=fine)
-        coarse = np.empty((A, len(turn)), dtype=complex)
-        coarse[0] = np.exp(turn * f.support[0])
-        coarse[1:] = np.exp(turn * (B * f.step))
-        np.cumprod(coarse, axis=0, out=coarse)
+        coarse, fine = phase_ladder(xi_arr[s : s + _XI_BLOCK], f.support[0], f.step, len(g))
+        G = np.zeros((len(coarse), len(fine)), dtype=complex)
+        G.flat[: len(g)] = g
         out[s : s + _XI_BLOCK] = np.einsum("ij,ij->j", coarse, G @ fine)
     if np.ndim(xi) == 0:
         return complex(out[0])
@@ -167,15 +169,15 @@ def ft_at(f: SampledFunction, xi, m: int = 0):
 def _trapezoid_fft(g: np.ndarray, step: float, pad: int, fft):
     """fft of the trapezoid-weighted samples g, zero-padded to pad_len.
 
-    Halves g's two end samples in place, so the FFT computes the trapezoid
-    sum, and pads to pad_len, the least power of two >= len(g) * pad.
+    Weights g in place by the unit-step trapezoid_weights, which halve its
+    two end samples, so the FFT computes the trapezoid sum, and pads to
+    pad_len, the least power of two >= len(g) * pad.
     Returns (spectrum, pad_len, 1 / (pad_len * step)), the last the spacing
     of its frequencies: bin j is xi = j / (pad_len * step).
     """
     if pad < 1:
         raise InputError("pad must be >= 1")
-    g[0] *= 0.5
-    g[-1] *= 0.5
+    g *= trapezoid_weights(len(g), 1.0)
     pad_len = 1 << int(np.ceil(np.log2(len(g) * pad)))
     return fft(g, pad_len), pad_len, 1.0 / (pad_len * step)
 

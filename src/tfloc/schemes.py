@@ -73,7 +73,6 @@ class InterpolationScheme:
     m_nodes: np.ndarray
     L: float
     U: float = 0.0
-    name: str = "custom"
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_nodes", _node_array(self.lambda_nodes))
@@ -103,7 +102,7 @@ def rv_scheme(max_n: int, include_derivative_nodes: bool = False) -> Interpolati
     nodes = _nodes(np.concatenate([[0.0], r, -r]))
     if include_derivative_nodes:
         nodes = np.concatenate([nodes, _nodes([0.0], order=1)])
-    return InterpolationScheme(nodes, nodes, L=2.0, name="rv")
+    return InterpolationScheme(nodes, nodes, L=2.0)
 
 
 def zeta_scheme(zeros, max_n: int) -> InterpolationScheme:
@@ -118,7 +117,7 @@ def zeta_scheme(zeros, max_n: int) -> InterpolationScheme:
     # math.log, not np.log: the two differ in the last bit for some n
     p = np.fromiter(map(math.log, range(2, max_n + 1)), float, max_n - 1) / (4.0 * math.pi)
     return InterpolationScheme(_nodes(np.concatenate([[0.0], p, -p])),
-                               _nodes(np.concatenate([zeros, -zeros])), L=2.0, name="zeta")
+                               _nodes(np.concatenate([zeros, -zeros])), L=2.0)
 
 
 def counting_function(nodes, R):

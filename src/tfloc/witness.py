@@ -29,9 +29,8 @@ batched into a few large array operations: the lambda rows are one atom
 evaluation per derivative order, the M rows one product of their phase
 matrix (_phases, one row per node at its own point and order) with the
 weighted atom columns, the node tail the same phases times f, XI_BLOCK
-nodes at a time, and the tail sweep over its n uniform frequencies splits
-them, as ft_at does, into blocks of ceil(sqrt(n)), each block's phases one
-exponential row times the ceil(sqrt(n)) phase rows built once (_sweep).
+nodes at a time, and the tail sweep over its n uniform frequencies takes
+its phases from fourier.phase_ladder, as ft_at does (_sweep).
 Each bell's Gevrey ramp turns over within about 1e-3 of its junction radius
 r, far below any uniform grid step, so the panels are graded geometrically
 toward every junction center, down to r 2^-GRADE_LEVELS.  Rows and tail agree
@@ -65,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .fourier import MAX_FT_DERIVATIVE, SampledFunction, l2_norm, sup_norm
+from .fourier import MAX_FT_DERIVATIVE, SampledFunction, l2_norm, phase_ladder, sup_norm
 from .lcbasis import LocalCosineAtom, atom_matrix, build_basis
 from .schemes import InterpolationScheme, counting_function
 from .whitney import admissible_set, whitney_decompose
@@ -124,6 +123,9 @@ class WitnessProblem:
     def atoms(self) -> list[LocalCosineAtom]:
         w = whitney_decompose(self.D)
         S = admissible_set(w, self.C, self.eps)
+        if S.size == 0:
+            raise DegenerateInputError(f"no admissible atom at D={self.D:.12g}, C={self.C:.12g}, "
+                                       f"eps={self.eps:.12g}: |S| = 0")
         return build_basis(w, self.eta).atoms_for(S.entries)
 
 
@@ -195,19 +197,15 @@ def _sweep(x, g, start: float, step: float, n: int) -> tuple[np.ndarray, np.ndar
     """(xi, sum_i g_i e^(-2 pi i xi x_i)) on the uniform grid
     xi_b = start + b step, b = 1 .. n, for g of shape (nodes, m).
 
-    It is the one evaluator for uniform frequencies, the tail sweep, split as
-    ft_at splits its sum: with B = ceil(sqrt(n)), a block's phases factor as
-    e^(-2 pi i (xi_s + j step) x) = e^(-2 pi i xi_s x) e^(-2 pi i j step x),
-    j < B, with xi_s the block's first frequency.  The B fine rows are built
-    once, and each of the ceil(n / B) blocks costs one coarse exponential
-    row, folded into g, and one GEMM.
+    It is the one evaluator for uniform frequencies, the tail sweep, split
+    by fourier.phase_ladder at the nodes: frequency s + j, s = a B, has the
+    phase coarse[a] fine[j], and each of the A coarse rows, folded into g,
+    costs one GEMM with the B fine rows.
     """
-    B = math.isqrt(n - 1) + 1
-    fine = np.exp(-2j * np.pi * np.outer(step * np.arange(B), x))
+    coarse, fine = phase_ladder(x, start + step, step, n)
     out = np.empty((n, g.shape[1]), dtype=complex)
-    for s in range(0, n, B):
-        coarse = np.exp(-2j * np.pi * (start + (s + 1) * step) * x)
-        out[s : s + B] = fine[: n - s] @ (coarse[:, None] * g)
+    for s, row in zip(range(0, n, len(fine)), coarse):
+        out[s : s + len(fine)] = fine[: n - s] @ (row[:, None] * g)
     return start + step * np.arange(1, n + 1), out
 
 
@@ -404,4 +402,4 @@ def thin_scheme(
     drops = np.split(drop, [len(orbits[0][1])])
     kept = [np.delete(nodes, at[d[orbit]])
             for nodes, at, (orbit, _), d in zip(sides, inside, orbits, drops)]
-    return InterpolationScheme(*kept, L=scheme.L, U=scheme.U, name=f"{scheme.name}-thinned")
+    return InterpolationScheme(*kept, L=scheme.L, U=scheme.U)

@@ -184,6 +184,16 @@ def test_input_errors_exit_1(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith(f"tfloc {argv[0]}: "), argv
 
 
+@pytest.mark.parametrize("C, eps", [("50", "0.1"), ("0.22", "3")])
+def test_witness_without_admissible_atoms_names_the_input(C, eps, capsys):
+    # C log^(1+eps) D exceeds every piece length at D = 36, so |S| = 0
+    argv = ["witness", "--scheme", "rv", "--R1", "3", "--R2", "3", "--C", C, "--eps", eps]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "admissible" in captured.err and f"C={C}" in captured.err
+
+
 def test_non_finite_zero_tables_exit_1(tmp_path, capsys):
     # every comparison with nan is False, so only an explicit finiteness
     # check keeps nan or inf out of the zero count

@@ -114,7 +114,7 @@ def test_audit_doubled_nodes_shift_slack_exactly():
     s = rv_scheme(9)
     doubled = InterpolationScheme(
         lambda_nodes=np.concatenate([s.lambda_nodes] * 2),
-        m_nodes=np.concatenate([s.m_nodes] * 2), L=s.L, name="rv2x")
+        m_nodes=np.concatenate([s.m_nodes] * 2), L=s.L)
     a1 = audit_bound(s, (1.0, 2.5), (1.0, 2.5), 0.5, 0.1)
     a2 = audit_bound(doubled, (1.0, 2.5), (1.0, 2.5), 0.5, 0.1)
     n1 = counting_function(s.lambda_nodes, a1.R1)
@@ -136,7 +136,7 @@ def test_audit_extent_and_domain_errors():
 def test_audit_fitted_c_monotone_in_eps():
     sparse = InterpolationScheme(
         lambda_nodes=[(0.0, 0), (-5.0, 0), (5.0, 0)],
-        m_nodes=[(0.0, 0), (-5.0, 0), (5.0, 0)], L=2.0, name="sparse")
+        m_nodes=[(0.0, 0), (-5.0, 0), (5.0, 0)], L=2.0)
     audits = [audit_bound(sparse, (2.0, 4.0), (2.0, 4.0), 0.5, eps)
               for eps in (0.1, 0.5, 1.0)]
     cs = [a.C_fit for a in audits]
