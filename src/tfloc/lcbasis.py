@@ -71,16 +71,64 @@ class LocalCosineAtom:
         return SampledFunction.from_callable(self.value, self.domain, n=n)
 
 
+def _bell_trig(atom: LocalCosineAtom, ks, xs, sine: bool):
+    """(k, cos, sin) of the phase 2 pi xi_k (x - alpha) at xs of the atom
+    with index k on `atom`'s bell, for each k of the ascending list ks.
+
+    Atoms on one bell share its cosine interval, so atom k has the phase
+    (2k + 1) theta with theta the k = 0 phase: cos and sin of theta are
+    evaluated once per point, and every k is reached by rotations through
+    2 theta in real arithmetic, so an atom's value does not depend on the
+    atoms evaluated with it.  When ks is [0] and `sine` is false, only cos
+    is evaluated (sin is None).  The arrays are buffers that the next
+    rotation overwrites.  The rotation adds about k ulps to each value, the
+    order of the rounding that the direct phase omega_k (x - alpha) already
+    carries: on the delta = 512 bell the worst atom error over k <= 510 is
+    below the direct formula's.
+    """
+    theta = 2.0 * np.pi * (0.25 / atom.delta) * (xs - atom.alpha)  # xi of k = 0
+    c = np.cos(theta)
+    if ks == [0] and not sine:
+        yield 0, c, None
+        return
+    s = np.sin(theta)
+    c2, s2 = c * c - s * s, 2.0 * s * c
+    u, v = np.empty_like(c), np.empty_like(c)
+    k = 0
+    for want in ks:
+        for _ in range(want - k):
+            np.multiply(s, s2, out=u)
+            np.multiply(c, s2, out=v)
+            c *= c2
+            c -= u
+            s *= c2
+            s += v
+        k = want
+        yield k, c, s
+
+
+def _leibniz(nb, d):
+    """(b cos)^(order) from nb = [b, b', ...] and d = [cos, cos', ...]."""
+    if len(d) == 1:
+        return nb[0] * d[0]
+    if len(d) == 2:
+        return nb[1] * d[0] + nb[0] * d[1]
+    return nb[2] * d[0] + 2.0 * nb[1] * d[1] + nb[0] * d[2]
+
+
 def atom_matrix(atoms, x, order: int = 0, coeffs=None) -> np.ndarray:
     """Derivative of order `order` of every atom at x, shape (len(x), len(atoms)).
 
     A scalar x gives shape (len(atoms),).  With `coeffs`, the result is
     sum_i coeffs[i] * atom_i^(order)(x), of shape x.shape, added up bell by
     bell, so no len(x) x len(atoms) array is formed.  This is the one atom
-    evaluator: each distinct bell's jet, and each atom's cosine factor, is
-    computed once on the points of x inside the bell's support; every other
-    entry is 0.0.  An order outside 0 .. windows.MAX_BELL_DERIVATIVE raises
-    in the bell jet.
+    evaluator.  Per bell with a point of x inside its support, on those
+    points only, the bell factor norm_factor * b (up to b^(order)) is
+    computed once, and the cosines of all its atoms come from one cos and
+    one sin per point (_bell_trig).  With `coeffs`, the weighted cosines
+    and their derivatives are added up first and multiplied by the bell
+    factor once per bell.  Every other entry is 0.0.  An order outside
+    0 .. windows.MAX_BELL_DERIVATIVE raises in the bell jet.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
@@ -92,28 +140,28 @@ def atom_matrix(atoms, x, order: int = 0, coeffs=None) -> np.ndarray:
     for bell, cols in by_bell.items():
         lo, hi = bell.support
         inside = np.flatnonzero((flat >= lo) & (flat <= hi))
+        if inside.size == 0:
+            continue
         xs = flat[inside]
-        b = bell.jet(xs, order)
-        total = None if coeffs is None else np.zeros(len(xs))
+        by_k: dict[int, list[int]] = {}
         for i in cols:
-            a = atoms[i]
-            omega = 2.0 * np.pi * a.xi
-            phase = omega * (xs - a.alpha)
-            c = np.cos(phase)
-            if order == 0:
-                col = a.norm_factor * b[0] * c
-            elif order == 1:
-                col = a.norm_factor * (b[1] * c - omega * b[0] * np.sin(phase))
-            else:
-                col = a.norm_factor * (
-                    b[2] * c - 2.0 * omega * b[1] * np.sin(phase) - omega * omega * b[0] * c
-                )
-            if total is None:
-                out[inside, i] = col
-            else:
-                total += coeffs[i] * col
-        if total is not None:
-            out[inside] += total
+            by_k.setdefault(atoms[i].k, []).append(i)
+        nf = atoms[cols[0]].norm_factor
+        nb = [nf * bk for bk in bell.jet(xs, order)]
+        if coeffs is not None:
+            sums, scratch = np.zeros((order + 1, len(xs))), np.empty(len(xs))
+        for k, c, s in _bell_trig(atoms[cols[0]], sorted(by_k), xs, order >= 1):
+            omega = 2.0 * np.pi * atoms[by_k[k][0]].xi
+            # the phase's cosine and its x-derivatives, each a factor times cos or sin
+            terms = [(1.0, c), (-omega, s), (-omega * omega, c)][: order + 1]
+            for i in by_k[k]:
+                if coeffs is None:
+                    out[inside, i] = _leibniz(nb, [f * t for f, t in terms])
+                else:
+                    for row, (f, t) in zip(sums, terms):
+                        row += np.multiply(t, coeffs[i] * f, out=scratch)
+        if coeffs is not None:
+            out[inside] += _leibniz(nb, sums)
     return out.reshape(x.shape + columns)
 
 

@@ -86,21 +86,37 @@ class GevreyProfile:
         return [a.reshape(u.shape) for a in out]
 
     def jet(self, t, order: int = 0) -> list:
-        """[rho, rho', rho''] at t up to `order`, from one _transition pass."""
+        """[rho, rho', rho''] at t up to `order`, from one _transition pass.
+
+        Only the ramp |t| < 1 is computed: rho is exactly 1 at t >= 1 and 0
+        below, with zero derivatives, as the formula gives there.  sin and
+        cos of pi v / 2 are evaluated only where 0 < v < 1.  Elsewhere on
+        the ramp v is exactly 0 or 1, where sin is v and cos is 1 - v; at
+        v = 1 that replaces cos(pi / 2) ~ 6e-17, which only ever multiplies
+        the zero derivatives of v there, so every output keeps its exact
+        bits.
+        """
         if not 0 <= order <= MAX_BELL_DERIVATIVE:
             raise UnsupportedOrderError(
                 f"profile derivatives implemented up to order {MAX_BELL_DERIVATIVE}"
             )
         t = np.asarray(t, dtype=float)
-        v = self._transition((t + 1.0) * 0.5, order)
-        half_pi_v = 0.5 * np.pi * v[0]
-        out = [np.sin(half_pi_v)]
+        flat = t.reshape(-1)
+        out = [np.where(flat >= 1.0, 1.0, 0.0)] + [np.zeros(flat.shape) for _ in range(order)]
+        ramp = np.flatnonzero(np.abs(flat) < 1.0)
+        v = self._transition((flat[ramp] + 1.0) * 0.5, order)
+        turn = (v[0] > 0.0) & (v[0] < 1.0)
+        half_pi_v = 0.5 * np.pi * v[0][turn]
+        sin = v[0].copy()
+        sin[turn] = np.sin(half_pi_v)
+        out[0][ramp] = sin
         if order >= 1:
-            cos = np.cos(half_pi_v)
-            out.append(0.25 * np.pi * cos * v[1])
+            cos = 1.0 - v[0]
+            cos[turn] = np.cos(half_pi_v)
+            out[1][ramp] = 0.25 * np.pi * cos * v[1]
         if order == 2:
-            out.append(0.125 * np.pi * (cos * v[2] - 0.5 * np.pi * out[0] * v[1] * v[1]))
-        return out
+            out[2][ramp] = 0.125 * np.pi * (cos * v[2] - 0.5 * np.pi * sin * v[1] * v[1])
+        return [a.reshape(t.shape)[()] for a in out]
 
 
 @dataclass(frozen=True)

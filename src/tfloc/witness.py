@@ -26,11 +26,14 @@ Gauss-Legendre rule on the union of the atoms' bell supports
 (_transform_nodes): a row integrates an atom against
 (-2 pi i x)^k e^(-2 pi i mu x), the tail integrates f itself.  Each is
 batched into a few large array operations: the lambda rows are one atom
-evaluation per derivative order, the M rows one product of their phase
-matrix (_phases, one row per node at its own point and order) with the
-weighted atom columns, the node tail the same phases times f, XI_BLOCK
-nodes at a time, and the tail sweep over its n uniform frequencies takes
-its phases from fourier.phase_ladder, as ft_at does (_sweep).
+evaluation per derivative order, the M rows one product of their real
+phase matrix (_phases, one row per node at its own point and order, each
+entry one cos or one sin) with the weighted atom columns, the node tail
+the real and the imaginary phase rows times f, XI_BLOCK nodes at a time,
+and the tail sweep over its n uniform frequencies takes its phases from
+fourier.phase_ladder, as ft_at does (_sweep).  A problem builds its atoms
+and its rule once, on first use, and its solve, tail and support check
+share them.
 Each bell's Gevrey ramp turns over within about 1e-3 of its junction radius
 r, far below any uniform grid step, so the panels are graded geometrically
 toward every junction center, down to r 2^-GRADE_LEVELS.  Rows and tail agree
@@ -60,6 +63,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,12 +125,22 @@ class WitnessProblem:
         )
 
     def atoms(self) -> list[LocalCosineAtom]:
+        """The admissible atoms S, built on the first call and kept."""
+        return list(self._atoms)
+
+    @cached_property
+    def _atoms(self) -> tuple[LocalCosineAtom, ...]:
         w = whitney_decompose(self.D)
         S = admissible_set(w, self.C, self.eps)
         if S.size == 0:
             raise DegenerateInputError(f"no admissible atom at D={self.D:.12g}, C={self.C:.12g}, "
                                        f"eps={self.eps:.12g}: |S| = 0")
-        return build_basis(w, self.eta).atoms_for(S.entries)
+        return tuple(build_basis(w, self.eta).atoms_for(S.entries))
+
+    @cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """_transform_nodes of the problem's own atoms, built once."""
+        return _transform_nodes(self, self._atoms)
 
 
 def _columns(p: WitnessProblem, atoms, x, order: int = 0, coeffs=None) -> np.ndarray:
@@ -186,11 +200,25 @@ def _transform_nodes(p: WitnessProblem, atoms) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x, x]), np.concatenate([w, w])
 
 
-def _phases(x, mu, k) -> np.ndarray:
-    """e^(-2 pi i mu x) (-2 pi i x)^k at the rule nodes x, one row per pair
-    (mu, k); a row times w h is the order-k transform derivative of h at mu.
+def _phases(x, mu, k, real) -> np.ndarray:
+    """Re (where `real`) or Im of e^(-2 pi i mu x) (-2 pi i x)^k at the rule
+    nodes x, one row per (mu, k, real); a row times w h is the real or
+    imaginary part of the order-k transform derivative of h at mu.
+
+    With phi = 2 pi mu x, the real part is (-2 pi x)^k cos(phi - k pi / 2)
+    and the imaginary part (-2 pi x)^k cos(phi - (k - 1) pi / 2), so each
+    entry takes one cos or one sin of phi, a sign and a real moment factor.
     """
-    return np.exp(-2j * np.pi * np.outer(mu, x)) * (-2j * np.pi * x) ** np.asarray(k)[:, None]
+    k = np.asarray(k)
+    quarter = k - 1 + np.asarray(real)  # cos(phi - quarter pi / 2)
+    arg = 2.0 * np.pi * np.outer(mu, x)
+    use_cos = (quarter % 2 == 0)[:, None]
+    np.cos(arg, out=arg, where=use_cos)
+    np.sin(arg, out=arg, where=~use_cos)
+    arg *= np.where(quarter % 4 >= 2, -1.0, 1.0)[:, None]
+    if k.any():
+        arg *= (-2.0 * np.pi * x) ** k[:, None]
+    return arg
 
 
 def _sweep(x, g, start: float, step: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,8 +243,8 @@ def assemble_constraints(p: WitnessProblem, atoms) -> np.ndarray:
     The rows are the lambda entries with |point| <= R1, then the M entries
     with |point| <= R2, each side in scheme order.  The lambda rows are one
     _columns call per derivative order; the M rows are one product of their
-    real phase rows, Re or Im of _phases at |mu|, with the weighted atom
-    columns.
+    real phase rows, _phases at |mu| in the part each entry carries, with
+    the weighted atom columns.  The problem's own atoms use its kept rule.
     """
     if len(atoms) == 0:
         raise DegenerateInputError("assemble_constraints needs a nonempty atom set")
@@ -227,10 +255,9 @@ def assemble_constraints(p: WitnessProblem, atoms) -> np.ndarray:
         lam_rows[at] = _columns(p, atoms, lam["point"][at], order)
     m = p.scheme.m_nodes[np.abs(p.scheme.m_nodes["point"]) <= p.R2]
     real = (m["point"] > 0) | ((m["point"] == 0.0) & (m["order"] % 2 == 0))
-    x, w = _transform_nodes(p, atoms)
+    x, w = p._rule if list(atoms) == p.atoms() else _transform_nodes(p, atoms)
     weighted = w[:, None] * _columns(p, atoms, x)
-    phase = _phases(x, np.abs(m["point"]), m["order"])
-    m_rows = np.where(real[:, None], phase.real, phase.imag) @ weighted
+    m_rows = _phases(x, np.abs(m["point"]), m["order"], real) @ weighted
     return np.vstack([lam_rows, m_rows])
 
 
@@ -333,7 +360,8 @@ def tail_certificate(res: WitnessResult, n_xi: int = 400) -> TailReport:
 
     The sweep covers the orders k = 0 .. min(L, MAX_FT_DERIVATIVE) through
     _sweep; the node tail takes each stored node at its own signed point and
-    order through the constraint rows' _phases, XI_BLOCK nodes per product.
+    order through the constraint rows' _phases, its real and imaginary
+    parts, XI_BLOCK nodes per product.
     F f^(k) is integrated on the rule of the constraint rows.  f is real, so
     |F f^(k)(-xi)| = |F f^(k)(xi)| and the sweep covers xi > 0 only.
     """
@@ -346,7 +374,7 @@ def tail_certificate(res: WitnessResult, n_xi: int = 400) -> TailReport:
     p = res.problem
     n_orders = min(int(p.scheme.L), MAX_FT_DERIVATIVE) + 1
     atoms = p.atoms()
-    x, w = _transform_nodes(p, atoms)
+    x, w = p._rule
     f = _columns(p, atoms, x, coeffs=res.coefficients) * w
     moments = f[:, None] * (-2j * np.pi * x[:, None]) ** np.arange(n_orders)
     xi, sweep = _sweep(x, moments, p.R2, 3.0 * p.R2 / n_xi, n_xi)
@@ -355,7 +383,8 @@ def tail_certificate(res: WitnessResult, n_xi: int = 400) -> TailReport:
     total = 0.0
     for s in range(0, len(nodes), XI_BLOCK):
         block = nodes[s : s + XI_BLOCK]
-        at = np.abs(_phases(x, block["point"], block["order"]) @ f)
+        parts = [_phases(x, block["point"], block["order"], real) @ f for real in (True, False)]
+        at = np.hypot(*parts)
         # a block sums left to right: cumsum adds in order, np.sum pairwise
         total += np.cumsum(at * np.abs(block["point"]) ** p.scheme.U)[-1]
     return TailReport(xi=xi, max_by_order=maxima, weighted_sum=float(total))

@@ -256,3 +256,39 @@ def test_bessel_inequality_and_expansion_roundtrip():
     inner = np.array([np.sum(w * vals * a.value(x)) for a in atoms])
     assert np.max(np.abs(inner - coeff)) < 1e-10
     assert l2_norm(f) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="the reference needs a long double wider than float64")
+def test_atom_rotation_no_less_accurate_than_the_direct_phase():
+    # D = 1024 is the R1 = R2 = 16 witness scale; its central bell has
+    # delta = 512 and carries the atoms k = 0 .. 510 of that witness
+    basis = _basis(D=1024.0, eta=1 / 11)
+    j = next(j for j, b in enumerate(basis.bells)
+             if b.cosine_interval[1] - b.cosine_interval[0] == 512.0)
+    atoms = [basis.atom(j, k) for k in range(511)]
+    bell, alpha, delta = atoms[0].bell, atoms[0].alpha, atoms[0].delta
+    x = np.linspace(*bell.support, 2001)
+    got = atom_matrix(atoms, x)
+    nb = atoms[0].norm_factor * bell.value(x)
+    pi = 4 * np.arctan(np.longdouble(1))
+    theta = pi * (x.astype(np.longdouble) - alpha) / (2 * np.longdouble(delta))
+    rotated = direct = 0.0
+    for k, a in enumerate(atoms):
+        exact = nb * np.cos((2 * k + 1) * theta)
+        rotated = max(rotated, float(np.max(np.abs(got[:, k] - exact))))
+        phase = 2.0 * np.pi * a.xi * (x - a.alpha)
+        direct = max(direct, float(np.max(np.abs(nb * np.cos(phase) - exact))))
+    assert 0.0 < rotated <= direct
+
+
+@pytest.mark.parametrize("D, eta, count", [(32.0, 0.3, 50), (36.0, 1 / 11, 60)])
+def test_atom_rotation_matches_direct_phase_on_small_bells(D, eta, count):
+    atoms = _basis(D=D, eta=eta).first_atoms(count)
+    assert max(a.k for a in atoms) >= 25
+    x = np.linspace(-D / 2, D / 2, 8001)
+    direct = np.column_stack([
+        a.norm_factor * a.bell.value(x) * np.cos(2.0 * np.pi * a.xi * (x - a.alpha))
+        for a in atoms
+    ])
+    assert np.max(np.abs(atom_matrix(atoms, x) - direct)) < 1e-14

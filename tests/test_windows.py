@@ -9,6 +9,7 @@ from tfloc.errors import DomainError, UnsupportedOrderError
 from tfloc.fitting import envelope_points, fit_decay
 from tfloc.fourier import SampledFunction, ft_grid
 from tfloc.whitney import whitney_decompose
+from tfloc import windows
 from tfloc.windows import _EXP_CAP, SHARPNESS, GevreyProfile, build_bells
 
 JUNCTION_TOL = 1e-10
@@ -189,3 +190,60 @@ def test_edge_transform_decay_positive_and_stable(eta):
         assert fit.rate > 0.0
         rates.append(fit.rate)
     assert abs(rates[1] - rates[0]) < 0.25 * rates[0]
+
+
+def _jet_with_trig_everywhere(rho, t, order):
+    """GevreyProfile.jet's formula with sin and cos of pi v / 2 evaluated at
+    every point, ramp or not."""
+    v = rho._transition((np.asarray(t, dtype=float) + 1.0) * 0.5, order)
+    half_pi_v = 0.5 * np.pi * v[0]
+    out = [np.sin(half_pi_v)]
+    if order >= 1:
+        cos = np.cos(half_pi_v)
+        out.append(0.25 * np.pi * cos * v[1])
+    if order == 2:
+        out.append(0.125 * np.pi * (cos * v[2] - 0.5 * np.pi * out[0] * v[1] * v[1]))
+    return out
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("eta", [1 / 11, 0.25, 0.3, 0.5, 0.85])
+def test_jet_bit_identical_to_trig_everywhere(eta):
+    rho = GevreyProfile(eta)
+    ends = 1.0 - 10.0 ** -np.arange(1.0, 16.0)
+    t = np.concatenate([
+        np.random.default_rng(20260).uniform(-1.25, 1.25, 100_000),
+        [-1.0, 1.0, 0.0, -0.0], np.nextafter([-1.0, 1.0], 0.0), ends, -ends])
+    if eta <= 0.5:
+        # points whose exponent |q| exceeds _EXP_CAP: v saturates to 0 or 1 there
+        u = (t + 1.0) * 0.5
+        ramp = (u > 0.0) & (u < 1.0)
+        with np.errstate(over="ignore"):
+            q = SHARPNESS * (u[ramp] ** -rho.gamma - (1.0 - u[ramp]) ** -rho.gamma)
+        assert np.any(np.abs(q) > _EXP_CAP)
+    for order in range(3):
+        got, want = rho.jet(t, order), _jet_with_trig_everywhere(rho, t, order)
+        for g, w in zip(got, want):
+            assert np.array_equal(_bits(g), _bits(w))
+        for s in (-1.0, 0.0, 1.0, -0.5, 0.3, 2.0):
+            got, want = rho.jet(s, order), _jet_with_trig_everywhere(rho, s, order)
+            for g, w in zip(got, want):
+                assert type(g) is type(w) and _bits(g) == _bits(w)
+
+
+@pytest.mark.parametrize("eta", [1 / 11, 0.5, 0.85])
+def test_jet_evaluates_trig_only_on_the_ramp(eta, count_trig):
+    trig = count_trig(windows)
+    rho = GevreyProfile(eta)
+    t = np.linspace(-2.0, 2.0, 4001)
+    v = rho._transition((t + 1.0) * 0.5)[0]
+    ramp = np.count_nonzero((v > 0.0) & (v < 1.0))
+    assert 0 < ramp < len(t) // 2
+    for order in range(3):
+        trig.points = 0
+        rho.jet(t, order)
+        # sin alone at order 0, sin and cos above
+        assert trig.points == (1 if order == 0 else 2) * ramp

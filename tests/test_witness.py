@@ -21,7 +21,7 @@ from tfloc.schemes import NODE, InterpolationScheme, rv_scheme
 from tfloc.whitney import whitney_decompose
 from tfloc.windows import SHARPNESS
 import tfloc
-from tfloc import witness
+from tfloc import lcbasis, windows, witness
 from tfloc.witness import (NULL_REL_TOL, WitnessProblem, assemble_constraints,
                            outside_support_max, select_null_vector,
                            solve_witness, tail_certificate,
@@ -569,7 +569,9 @@ def test_residual_honest_under_refined_rule(thin_none, thin_even, thin_odd, monk
     monkeypatch.setattr(witness, "PANEL_WIDTH", 0.25)
     monkeypatch.setattr(witness, "PANEL_NODES", 16)
     for r in (thin_none, thin_even, thin_odd):
-        A_ref = assemble_constraints(r.problem, r.problem.atoms())
+        # a problem keeps the rule it first built, so the refined rule needs a new one
+        p = dataclasses.replace(r.problem)
+        A_ref = assemble_constraints(p, p.atoms())
         assert np.max(np.abs(A_ref - rows[r.problem.parity])) < 1e-13
         # the printed residual is a property of the transform, not of the rule
         assert np.max(np.abs(A_ref @ r.coefficients)) < 1e-12
@@ -693,3 +695,77 @@ def test_thinning_matches_per_orbit_reference(base, radii):
             lam, m = _thin_reference(scheme, fraction, *radii, seed)
             assert np.array_equal(got.lambda_nodes, lam), (fraction, seed)
             assert np.array_equal(got.m_nodes, m), (fraction, seed)
+
+
+def _m_rows_from_complex_phases(p):
+    """p's M rows as Re or Im of the complex rows e^(-2 pi i mu x) (-2 pi i x)^k
+    at |mu|, times the weighted atom columns."""
+    atoms = p.atoms()
+    m = _in_radius(p.scheme.m_nodes, p.R2)
+    real = (m["point"] > 0) | ((m["point"] == 0.0) & (m["order"] % 2 == 0))
+    x, w = witness._transform_nodes(p, atoms)
+    phase = (np.exp(-2j * np.pi * np.outer(np.abs(m["point"]), x))
+             * (-2j * np.pi * x) ** m["order"][:, None])
+    return np.where(real[:, None], phase.real, phase.imag) @ (w[:, None] * witness._columns(p, atoms, x))
+
+
+@pytest.mark.parametrize("scheme, R, C, parity", [
+    (THINNED, 3.0, 0.22, "none"), (THINNED, 3.0, 0.10, "even"), (SCHEME, 3.0, 0.22, "none"),
+    (thin_scheme(rv_scheme(26), 0.2, 5.0, 5.0, seed=20260), 5.0, 0.10, "odd")])
+def test_order_zero_m_rows_bit_identical_to_complex_phases(scheme, R, C, parity):
+    p = WitnessProblem(scheme, R, R, C, 0.1, parity)
+    want = _m_rows_from_complex_phases(p)
+    assert len(want) and np.all(_in_radius(scheme.m_nodes, R)["order"] == 0)
+    got = assemble_constraints(p, p.atoms())[-len(want):]
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("parity", witness.PARITIES)
+@pytest.mark.parametrize("scheme", [rv_scheme(12, include_derivative_nodes=True), MIXED_ORDERS],
+                         ids=["derivative-nodes", "mixed-orders"])
+def test_m_rows_with_derivatives_match_complex_phases(scheme, parity):
+    p = WitnessProblem(scheme, 3.0, 3.0, 0.22 if parity == "none" else 0.10, 0.1, parity)
+    want = _m_rows_from_complex_phases(p)
+    assert np.any(_in_radius(scheme.m_nodes, 3.0)["order"] > 0)
+    got = assemble_constraints(p, p.atoms())[-len(want):]
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_sampled_witness_takes_two_trig_values_per_bell_point(count_trig):
+    # the README witness's sampled evaluation: one cos and one sin per
+    # point of each bell support for all of its atoms, and the bell jets'
+    # sin only where a junction ramp turns over
+    p = WitnessProblem(THINNED, 3.0, 3.0, 0.22, 0.1)
+    atoms = p.atoms()
+    x = np.linspace(-p.R1, p.R1, (1 << 16) + 1)
+    t = 2.0 * p.R2 * x
+    bell_points = ramp_points = 0
+    for bell in {a.bell for a in atoms}:
+        lo, hi = bell.support
+        ts = t[(t >= lo) & (t <= hi)]
+        bell_points += len(ts)
+        for s in ((ts - bell.left_center) / bell.left_radius,
+                  (bell.right_center - ts) / bell.right_radius):
+            ramp_points += np.count_nonzero(np.abs(s) < 1.0)
+    assert len(atoms) > 2 * len({a.bell for a in atoms})
+    atom_trig, jet_trig = count_trig(lcbasis), count_trig(windows)
+    f = witness._columns(p, atoms, x, coeffs=np.ones(len(atoms)))
+    assert np.any(f != 0.0)
+    assert 0 < atom_trig.points <= 2 * bell_points
+    assert 0 < jet_trig.points <= ramp_points < bell_points
+
+
+def test_problem_builds_its_atoms_and_rule_once(monkeypatch):
+    # the README witness's solve, support check and tail certificate share them
+    calls = {"admissible_set": 0, "_transform_nodes": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(witness, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(witness, name, counted)
+    p = WitnessProblem(THINNED, 3.0, 3.0, 0.22, 0.1)
+    res = solve_witness(p)
+    outside_support_max(res)
+    tail_certificate(res)
+    assert p.atoms() == p.atoms() and p.atoms() is not p.atoms()
+    assert calls == {"admissible_set": 1, "_transform_nodes": 1}
