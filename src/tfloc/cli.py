@@ -11,7 +11,9 @@ subcommand accepts only the options it reads: --json, --output and
 
 Exit codes: 0 success, 1 usage or input error (a report too large to
 allocate included), 2 a mathematical property check failed.  Heavy imports happen inside the handlers so that --threads
-can cap the BLAS pool before the first numpy import.
+can cap the BLAS pool before the first numpy import.  `witness` runs at one
+BLAS thread whatever --threads says: its products and SVD round differently
+at each thread count, and the report must not.
 """
 
 from __future__ import annotations
@@ -404,7 +406,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--output", metavar="PATH",
                         help="write the report to PATH instead of stdout")
     common.add_argument("--threads", type=int,
-                        help="cap BLAS worker threads")
+                        help="cap BLAS worker threads (witness always runs at 1, "
+                             "so that its report does not depend on the count)")
 
     p = _Parser(prog="tfloc",
                 description="verification reports for the tfloc package")
@@ -486,6 +489,10 @@ def _apply_threads(threads) -> None:
 
 def run(args) -> int:
     _apply_threads(args.threads)
+    if args.command == "witness":
+        # the witness's GEMMs and SVD round differently at each BLAS thread
+        # count, so its report is computed at one thread whatever --threads says
+        _apply_threads(1)
     report, status = _HANDLERS[args.command](args)
     _emit(report, args)
     return status

@@ -18,18 +18,26 @@ complex, but node sets here are symmetric, so the pair {mu, -mu} carries
 exactly two real conditions: the positive entry contributes the real part
 at mu, the negative entry the imaginary part, and a zero-point entry
 whichever part its moment parity leaves nontrivial.  Row count therefore
-equals n_Lambda(R1) + n_M(R2), entries counted with multiplicity.
+equals n_Lambda(R1) + n_M(R2), entries counted with multiplicity.  Under
+parity the transform of an even f is real and that of an odd f imaginary,
+for every derivative order: the entries that carry the other part are exact
+0.0 rows, kept so that the count stays the same.
 
 Every transform the witness certifies, the constraint rows at |mu| <= R2
 and the tail beyond R2, is a phase sum over the nodes of a composite
 Gauss-Legendre rule on the union of the atoms' bell supports
 (_transform_nodes): a row integrates an atom against
-(-2 pi i x)^k e^(-2 pi i mu x), the tail integrates f itself.  Each is
+(-2 pi i x)^k e^(-2 pi i mu x), the tail integrates f itself.  Under
+parity the rule covers x > 0 alone, with doubled weights: the phase at -x
+is the conjugate of the phase at x, so the whole-line integral is the real
+part (even) or i times the imaginary part (odd) of the half-line sum, and
+every atom is evaluated once per rule node, not at both +-x.  Each is
 batched into a few large array operations: the lambda rows are one atom
 evaluation per derivative order, the M rows one product of their real
 phase matrix (_phases, one row per node at its own point and order, each
 entry one cos or one sin) with the weighted atom columns, the node tail
-the real and the imaginary phase rows times f, XI_BLOCK nodes at a time,
+the real and the imaginary phase rows times f w (under parity the one part
+the transform has), XI_BLOCK nodes at a time,
 and the tail sweep over its n uniform frequencies takes its phases from
 fourier.phase_ladder, as ft_at does (_sweep).  A problem builds its atoms
 and its rule once, on first use, and its solve, tail and support check
@@ -41,10 +49,12 @@ with a rule of four more levels, half the panel width and 16 nodes per
 panel to about 1e-15, so the residual and tail printed for a witness are
 those of its transform, not of the quadrature.  The uniform 2^16-point grid
 on [-R1, R1] serves only the sampled witness: its sup, its L2 norm and the
-support check.  Wherever only f itself is needed, on that grid, on the rule
-nodes of the tail and on the support check, f = sum_i a_i col_i is summed
-bell by bell inside atom_matrix (_columns with coeffs), so no
-points x |S| matrix is formed.
+support check.  On that grid and on the support check, f = sum_i a_i col_i
+is summed bell by bell inside atom_matrix (_columns with coeffs), so no
+points x |S| matrix is formed; under parity a grid that is its own exact
+mirror is evaluated on x >= 0 alone (_sampled), and the support check on
+x > R1 alone.  The tail reads f w at the rule nodes from the solve, which
+forms it from the weighted atom columns of the assembly (rule_values).
 
 Coefficients are the normalized orthogonal projection of the all-ones
 vector onto the numerical null space (the right singular vectors whose
@@ -172,8 +182,12 @@ def _transform_nodes(p: WitnessProblem, atoms) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w of the rule that integrates the transform rows.
 
     The rule is built in atom units t on the union of the atoms' bell
-    supports, outside which every atom vanishes, and maps to x = t / (2 R2),
-    or under parity to both x = +-(t / R2 + R1) / 2; dx = dt / (2 R2) either way.
+    supports, outside which every atom vanishes, and maps to x = t / (2 R2)
+    with dx = dt / (2 R2).  Under parity it maps to the half line alone,
+    x = (t / R2 + R1) / 2 > 0, with doubled weights: f(-x) = +-f(x), and the
+    phase at -x is the complex conjugate of the phase at x for every
+    derivative order, so the integral over the whole line is the real
+    (even) or i times the imaginary (odd) part of the folded sum.
     """
     cuts = set()
     for bell in {a.bell for a in atoms}:
@@ -196,8 +210,7 @@ def _transform_nodes(p: WitnessProblem, atoms) -> tuple[np.ndarray, np.ndarray]:
     w = (half[:, None] * gw).ravel() / (2.0 * p.R2)
     if p.parity == "none":
         return t / (2.0 * p.R2), w
-    x = 0.5 * (t / p.R2 + p.R1)
-    return np.concatenate([-x, x]), np.concatenate([w, w])
+    return 0.5 * (t / p.R2 + p.R1), 2.0 * w
 
 
 def _phases(x, mu, k, real) -> np.ndarray:
@@ -244,8 +257,17 @@ def assemble_constraints(p: WitnessProblem, atoms) -> np.ndarray:
     with |point| <= R2, each side in scheme order.  The lambda rows are one
     _columns call per derivative order; the M rows are one product of their
     real phase rows, _phases at |mu| in the part each entry carries, with
-    the weighted atom columns.  The problem's own atoms use its kept rule.
+    the weighted atom columns.  Under parity the rule covers x > 0 only, so
+    the sum is the whole transform's real part (even) or imaginary part
+    (odd): an entry that carries the other part is an exact 0.0 row, and
+    the row count stays n_Lambda(R1) + n_M(R2).  The problem's own atoms
+    use its kept rule.
     """
+    return _assemble(p, atoms)[0]
+
+
+def _assemble(p: WitnessProblem, atoms) -> tuple[np.ndarray, np.ndarray]:
+    """(assemble_constraints, the weighted atom columns w col_i at the rule nodes)."""
     if len(atoms) == 0:
         raise DegenerateInputError("assemble_constraints needs a nonempty atom set")
     lam = p.scheme.lambda_nodes[np.abs(p.scheme.lambda_nodes["point"]) <= p.R1]
@@ -257,8 +279,10 @@ def assemble_constraints(p: WitnessProblem, atoms) -> np.ndarray:
     real = (m["point"] > 0) | ((m["point"] == 0.0) & (m["order"] % 2 == 0))
     x, w = p._rule if list(atoms) == p.atoms() else _transform_nodes(p, atoms)
     weighted = w[:, None] * _columns(p, atoms, x)
-    m_rows = _phases(x, np.abs(m["point"]), m["order"], real) @ weighted
-    return np.vstack([lam_rows, m_rows])
+    live = np.full(len(m), True) if p.parity == "none" else real == (p.parity == "even")
+    m_rows = np.zeros((len(m), len(atoms)))
+    m_rows[live] = _phases(x, np.abs(m["point"][live]), m["order"][live], real[live]) @ weighted
+    return np.vstack([lam_rows, m_rows]), weighted
 
 
 @dataclass(frozen=True)
@@ -274,6 +298,7 @@ class WitnessResult:
     sup_x: float
     sup_value: float
     function: SampledFunction
+    rule_values: np.ndarray  # f w at the nodes of the problem's rule
 
     @property
     def l2_target(self) -> float:
@@ -304,6 +329,23 @@ def select_null_vector(null_basis: np.ndarray) -> np.ndarray:
     raise DegenerateInputError("select_null_vector needs a nonempty null space")
 
 
+def _sampled(p: WitnessProblem, atoms, x, coeffs) -> np.ndarray:
+    """The witness sum_i coeffs[i] col_i on the grid x.
+
+    Under parity, where x is its own exact mirror (x == -x[::-1], as
+    linspace(-R1, R1, n) is when its step is a short binary fraction), f is
+    evaluated on x >= 0 alone and mirrored with the parity's sign.  _columns
+    reads |x| alone and only then applies the sign, so the mirrored values
+    are bit-identical to evaluating every point.
+    """
+    if p.parity == "none" or not np.array_equal(x, -x[::-1]):
+        return _columns(p, atoms, x, coeffs=coeffs)
+    n = len(x) // 2
+    half = _columns(p, atoms, x[n:], coeffs=coeffs)
+    sign = 1.0 if p.parity == "even" else -1.0
+    return np.concatenate([sign * half[::-1][:n], half])
+
+
 def solve_witness(p: WitnessProblem) -> WitnessResult:
     """Unit-norm witness coefficients for p's constraints, plus audits.
 
@@ -313,10 +355,12 @@ def solve_witness(p: WitnessProblem) -> WitnessResult:
     A problem with no constraint rows is the same rule: V = I, so the
     coefficients are ones / sqrt(|S|).  The sign makes the leading entry
     above 1e-14 positive.  The witness is sampled at DEFAULT_GRID + 1 points
-    of [-R1, R1].
+    of [-R1, R1] (_sampled), and f w at the rule nodes, which the tail
+    certificate reads, is the weighted atom columns of the assembly times
+    the coefficients.
     """
     atoms = p.atoms()
-    A = assemble_constraints(p, atoms)
+    A, weighted = _assemble(p, atoms)
     m = len(atoms)
     # U is never read: the thin SVD keeps it at min(rows, m)^2, while a
     # short A still gets the full V that spans R^m
@@ -330,8 +374,9 @@ def solve_witness(p: WitnessProblem) -> WitnessResult:
     if len(lead) and coeffs[lead[0]] < 0:
         coeffs = -coeffs
     residual = float(np.max(np.abs(A @ coeffs), initial=0.0))
-    f = SampledFunction.from_callable(lambda x: _columns(p, atoms, x, coeffs=coeffs),
-                                      (-p.R1, p.R1))
+    rule_values = weighted @ coeffs
+    del weighted  # rule nodes x |S|: not held while the grid is sampled
+    f = SampledFunction.from_callable(lambda x: _sampled(p, atoms, x, coeffs), (-p.R1, p.R1))
     sup_x, sup_val = sup_norm(f)
     return WitnessResult(
         problem=p,
@@ -345,6 +390,7 @@ def solve_witness(p: WitnessProblem) -> WitnessResult:
         sup_x=sup_x,
         sup_value=sup_val,
         function=f,
+        rule_values=rule_values,
     )
 
 
@@ -360,9 +406,12 @@ def tail_certificate(res: WitnessResult, n_xi: int = 400) -> TailReport:
 
     The sweep covers the orders k = 0 .. min(L, MAX_FT_DERIVATIVE) through
     _sweep; the node tail takes each stored node at its own signed point and
-    order through the constraint rows' _phases, its real and imaginary
-    parts, XI_BLOCK nodes per product.
-    F f^(k) is integrated on the rule of the constraint rows.  f is real, so
+    order through the constraint rows' _phases, XI_BLOCK nodes per product.
+    F f^(k) is integrated on the rule of the constraint rows, from the
+    witness's own f w at its nodes (res.rule_values), so no atom is
+    evaluated again.  The magnitude is the modulus of the sum; under parity,
+    where the rule covers x > 0 alone, it is |Re| of the sum (even) or
+    |Im| (odd), the only part the transform has.  f is real, so
     |F f^(k)(-xi)| = |F f^(k)(xi)| and the sweep covers xi > 0 only.
     """
     if n_xi < 1:
@@ -373,29 +422,35 @@ def tail_certificate(res: WitnessResult, n_xi: int = 400) -> TailReport:
         )
     p = res.problem
     n_orders = min(int(p.scheme.L), MAX_FT_DERIVATIVE) + 1
-    atoms = p.atoms()
-    x, w = p._rule
-    f = _columns(p, atoms, x, coeffs=res.coefficients) * w
+    x, f = p._rule[0], res.rule_values
     moments = f[:, None] * (-2j * np.pi * x[:, None]) ** np.arange(n_orders)
     xi, sweep = _sweep(x, moments, p.R2, 3.0 * p.R2 / n_xi, n_xi)
+    # under parity the transform has one part; the other is 0, not its rounding
+    sweep = {"none": sweep, "even": sweep.real, "odd": sweep.imag}[p.parity]
     maxima = tuple((k, float(np.max(np.abs(sweep[:, k])))) for k in range(n_orders))
+    carried = {"none": (True, False), "even": (True,), "odd": (False,)}[p.parity]
     nodes = p.scheme.m_nodes[np.abs(p.scheme.m_nodes["point"]) > p.R2]
     total = 0.0
     for s in range(0, len(nodes), XI_BLOCK):
         block = nodes[s : s + XI_BLOCK]
-        parts = [_phases(x, block["point"], block["order"], real) @ f for real in (True, False)]
-        at = np.hypot(*parts)
+        re, im = (_phases(x, block["point"], block["order"], real) @ f if real in carried else 0.0
+                  for real in (True, False))
+        at = np.hypot(re, im)
         # a block sums left to right: cumsum adds in order, np.sum pairwise
         total += np.cumsum(at * np.abs(block["point"]) ** p.scheme.U)[-1]
     return TailReport(xi=xi, max_by_order=maxima, weighted_sum=float(total))
 
 
 def outside_support_max(res: WitnessResult) -> float:
-    """max |f| over |x| in (R1, 2 R1]: zero when the support claim holds."""
+    """max |f| over |x| in (R1, 2 R1]: zero when the support claim holds.
+
+    Under parity |f(-x)| = |f(x)| exactly, so (R1, 2 R1] alone is evaluated.
+    """
     p = res.problem
     x = np.linspace(p.R1, 2.0 * p.R1, OUTSIDE_POINTS + 1)[1:]
-    both = np.concatenate([-x, x])
-    vals = _columns(p, p.atoms(), both, coeffs=res.coefficients)
+    if p.parity == "none":
+        x = np.concatenate([-x, x])
+    vals = _columns(p, p.atoms(), x, coeffs=res.coefficients)
     return float(np.max(np.abs(vals)))
 
 

@@ -261,6 +261,18 @@ def test_bad_thread_counts_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_witness_report_independent_of_threads_option():
+    # the README zeta witness has no null space: its coefficients are the
+    # last right singular vector, whose last bits follow the BLAS thread
+    # count, and sup_norm's refinement magnifies them into sup_x
+    argv = ["witness", "--scheme", "zeta", "--R1", "1.01", "--R2", "6", "--C", "0.22",
+            "--eps", "0.1", "--thin", "0.3", "--seed", "1", "--json"]
+    reports = [subprocess.run([sys.executable, "-m", "tfloc.cli", *argv, "--threads", t],
+                              env=_cli_env(), capture_output=True, check=True).stdout
+               for t in ("1", "2")]
+    assert reports[0] == reports[1]
+
+
 def test_import_loads_no_numpy():
     # --threads must set the BLAS thread variables before numpy first loads
     code = "import sys, tfloc, tfloc.cli; print('numpy' in sys.modules)"

@@ -325,11 +325,22 @@ def test_tail_certificate(thin_none, full_none):
             tail_certificate(thin_none, n_xi=n_xi)
 
 
+def _full_line_rule(p, atoms):
+    """The witness's rule on the whole line: under parity _transform_nodes
+    covers x > 0 alone with doubled weights, so it is mirrored here to the
+    nodes [-x, x] with the weights w / 2."""
+    x, w = witness._transform_nodes(p, atoms)
+    if p.parity == "none":
+        return x, w
+    return np.concatenate([-x, x]), np.concatenate([w, w]) / 2.0
+
+
 def _tail_moments(r):
-    """Rule nodes x and the witness's weighted moments f w (-2 pi i x)^k, k < 3."""
+    """Whole-line rule nodes x and the witness's weighted moments
+    f w (-2 pi i x)^k, k < 3."""
     p = r.problem
     atoms = p.atoms()
-    x, w = witness._transform_nodes(p, atoms)
+    x, w = _full_line_rule(p, atoms)
     f = (witness._columns(p, atoms, x) @ r.coefficients) * w
     return x, f[:, None] * (-2j * np.pi * x[:, None]) ** np.arange(3)
 
@@ -385,7 +396,7 @@ def test_rows_match_per_node_reference(parity):
     p = WitnessProblem(MIXED_ORDERS, 3.0, 3.0, 0.22 if parity == "none" else 0.10, 0.1, parity)
     atoms = p.atoms()
     A = assemble_constraints(p, atoms)
-    x, w = witness._transform_nodes(p, atoms)
+    x, w = _full_line_rule(p, atoms)
     weighted = w[:, None] * witness._columns(p, atoms, x)
     # one row per in-radius entry, lambda's then M's, each in scheme order
     rows = []
@@ -585,7 +596,7 @@ def test_tail_matches_refined_rule(thin_none, thin_even, thin_odd, monkeypatch):
     for r in (thin_none, thin_even, thin_odd):
         p, rep = r.problem, reports[r.problem.parity]
         atoms = p.atoms()
-        x, w = witness._transform_nodes(p, atoms)
+        x, w = _full_line_rule(p, atoms)
         f = (witness._columns(p, atoms, x) @ r.coefficients) * w
 
         def ft(xi, k):
@@ -699,14 +710,20 @@ def test_thinning_matches_per_orbit_reference(base, radii):
 
 def _m_rows_from_complex_phases(p):
     """p's M rows as Re or Im of the complex rows e^(-2 pi i mu x) (-2 pi i x)^k
-    at |mu|, times the weighted atom columns."""
+    at |mu|, times the weighted atom columns, on p's own rule.  Under parity
+    that rule is folded onto x > 0, where the sum is the transform's real
+    part (even) or imaginary part (odd): the rows of the other part are 0."""
     atoms = p.atoms()
     m = _in_radius(p.scheme.m_nodes, p.R2)
     real = (m["point"] > 0) | ((m["point"] == 0.0) & (m["order"] % 2 == 0))
+    live = real == (p.parity == "even") if p.parity != "none" else np.full(len(m), True)
     x, w = witness._transform_nodes(p, atoms)
-    phase = (np.exp(-2j * np.pi * np.outer(np.abs(m["point"]), x))
-             * (-2j * np.pi * x) ** m["order"][:, None])
-    return np.where(real[:, None], phase.real, phase.imag) @ (w[:, None] * witness._columns(p, atoms, x))
+    phase = (np.exp(-2j * np.pi * np.outer(np.abs(m["point"][live]), x))
+             * (-2j * np.pi * x) ** m["order"][live][:, None])
+    rows = np.zeros((len(m), len(atoms)))
+    rows[live] = (np.where(real[live][:, None], phase.real, phase.imag)
+                  @ (w[:, None] * witness._columns(p, atoms, x)))
+    return rows
 
 
 @pytest.mark.parametrize("scheme, R, C, parity", [
@@ -769,3 +786,81 @@ def test_problem_builds_its_atoms_and_rule_once(monkeypatch):
     tail_certificate(res)
     assert p.atoms() == p.atoms() and p.atoms() is not p.atoms()
     assert calls == {"admissible_set": 1, "_transform_nodes": 1}
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_mirrored_sampled_witness_bit_identical_to_full_grid(parity, request):
+    # the grid of [-3, 3] is its own exact mirror, so the witness is
+    # evaluated on x >= 0 alone: every sample, signed zeros included, must be
+    # what evaluating the whole grid gives
+    r = request.getfixturevalue(f"thin_{parity}")
+    p = r.problem
+    x = np.linspace(-p.R1, p.R1, len(r.function.samples))
+    assert np.array_equal(x, -x[::-1])
+    full = witness._columns(p, p.atoms(), x, coeffs=r.coefficients)
+    assert np.array_equal(r.function.samples.view(np.uint64), full.view(np.uint64))
+
+
+@pytest.mark.parametrize("R1, mirror", [(3.0, True), (8.0, True), (3.3, False), (1.01, False)])
+def test_sampled_witness_folds_only_mirror_grids(R1, mirror, monkeypatch):
+    # linspace(-R1, R1, 2^16 + 1) is its own mirror at R1 = 3 and 8, not at
+    # 3.3 or 1.01: those grids are evaluated point by point, as before
+    p = WitnessProblem(THINNED, R1, 3.0, 0.10, 0.1, "even")
+    atoms = p.atoms()
+    coeffs = np.random.default_rng(5).standard_normal(len(atoms))
+    x = np.linspace(-R1, R1, (1 << 16) + 1)
+    full = witness._columns(p, atoms, x, coeffs=coeffs)
+    sizes = []
+
+    def counted(p, atoms, x, order=0, coeffs=None, fn=witness._columns):
+        sizes.append(np.size(x))
+        return fn(p, atoms, x, order, coeffs)
+
+    monkeypatch.setattr(witness, "_columns", counted)
+    got = witness._sampled(p, atoms, x, coeffs)
+    assert sizes == [(1 << 15) + 1 if mirror else (1 << 16) + 1]
+    assert np.array_equal(got.view(np.uint64), full.view(np.uint64))
+
+
+def test_even_sampled_witness_takes_trig_on_half_the_grid(count_trig, thin_even):
+    # the mirrored grid shares every point of x < 0 with x > 0, so the folded
+    # evaluation takes the trig of the half grid: count(x > 0) + count(x = 0)
+    p, coeffs = thin_even.problem, thin_even.coefficients
+    atoms = p.atoms()
+    x = np.linspace(-p.R1, p.R1, (1 << 16) + 1)
+    counters = count_trig(lcbasis), count_trig(windows)
+
+    def points(evaluate):
+        for c in counters:
+            c.points = 0
+        evaluate()
+        return [c.points for c in counters]
+
+    full = points(lambda: witness._columns(p, atoms, x, coeffs=coeffs))
+    half = points(lambda: witness._sampled(p, atoms, x, coeffs))
+    zero = points(lambda: witness._columns(p, atoms, np.zeros(1), coeffs=coeffs))
+    assert full[0] > 0 and [2 * h - z for h, z in zip(half, zero)] == full
+
+
+def test_tail_certificate_evaluates_no_atom(thin_none, thin_even, monkeypatch):
+    # f w at the rule nodes comes with the witness, from the assembly's columns
+    def refuse(*args, **kwargs):
+        raise AssertionError("tail_certificate evaluated atoms")
+
+    monkeypatch.setattr(witness, "atom_matrix", refuse)
+    for r in (thin_none, thin_even):
+        assert tail_certificate(r).weighted_sum > 0.0
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_outside_support_max_one_sided_under_parity(parity, request):
+    # the witness's atoms on a problem whose R1 is too short for them, so
+    # that f is nonzero beyond R1: the one-sided check must find the
+    # two-sided maximum
+    r = request.getfixturevalue(f"thin_{parity}")
+    p = dataclasses.replace(r.problem, R1=2.0)
+    p.__dict__["_atoms"] = r.problem._atoms   # the cached_property's slot
+    x = np.linspace(p.R1, 2.0 * p.R1, witness.OUTSIDE_POINTS + 1)[1:]
+    both = witness._columns(p, p.atoms(), np.concatenate([-x, x]), coeffs=r.coefficients)
+    got = outside_support_max(dataclasses.replace(r, problem=p))
+    assert got > 0.1 and got == np.max(np.abs(both))
