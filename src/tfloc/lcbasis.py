@@ -72,8 +72,9 @@ class LocalCosineAtom:
 
 
 def _bell_trig(atom: LocalCosineAtom, ks, xs, sine: bool):
-    """(k, cos, sin) of the phase 2 pi xi_k (x - alpha) at xs of the atom
-    with index k on `atom`'s bell, for each k of the ascending list ks.
+    """(cos, sin) of the phase 2 pi xi_k (x - alpha) at xs of the atom
+    with index k on `atom`'s bell, for each k of the ascending list ks; a
+    repeated k takes no rotation step.
 
     Atoms on one bell share its cosine interval, so atom k has the phase
     (2k + 1) theta with theta the k = 0 phase: cos and sin of theta are
@@ -90,7 +91,7 @@ def _bell_trig(atom: LocalCosineAtom, ks, xs, sine: bool):
     theta = 2.0 * np.pi * (0.25 / atom.delta) * (xs - atom.alpha)  # xi of k = 0
     c = np.cos(theta)
     if ks == [0] and not sine:
-        yield 0, c, None
+        yield c, None
         return
     w = np.empty(len(xs), dtype=complex)
     w.real, w.imag = c, np.sin(theta)
@@ -100,7 +101,7 @@ def _bell_trig(atom: LocalCosineAtom, ks, xs, sine: bool):
         for _ in range(want - k):
             w *= z2
         k = want
-        yield k, w.real, w.imag
+        yield w.real, w.imag
 
 
 def _leibniz(nb, d):
@@ -139,23 +140,21 @@ def atom_matrix(atoms, x, order: int = 0, coeffs=None) -> np.ndarray:
         if inside.size == 0:
             continue
         xs = flat[inside]
-        by_k: dict[int, list[int]] = {}
-        for i in cols:
-            by_k.setdefault(atoms[i].k, []).append(i)
+        cols.sort(key=lambda i: atoms[i].k)  # stable: equal ks keep their order
         nf = atoms[cols[0]].norm_factor
         nb = [nf * bk for bk in bell.jet(xs, order)]
         if coeffs is not None:
             sums, scratch = np.zeros((order + 1, len(xs))), np.empty(len(xs))
-        for k, c, s in _bell_trig(atoms[cols[0]], sorted(by_k), xs, order >= 1):
-            omega = 2.0 * np.pi * atoms[by_k[k][0]].xi
+        ks = [atoms[i].k for i in cols]
+        for i, (c, s) in zip(cols, _bell_trig(atoms[cols[0]], ks, xs, order >= 1)):
+            omega = 2.0 * np.pi * atoms[i].xi
             # the phase's cosine and its x-derivatives, each a factor times cos or sin
             terms = [(1.0, c), (-omega, s), (-omega * omega, c)][: order + 1]
-            for i in by_k[k]:
-                if coeffs is None:
-                    out[inside, i] = _leibniz(nb, [f * t for f, t in terms])
-                else:
-                    for row, (f, t) in zip(sums, terms):
-                        row += np.multiply(t, coeffs[i] * f, out=scratch)
+            if coeffs is None:
+                out[inside, i] = _leibniz(nb, [f * t for f, t in terms])
+            else:
+                for row, (f, t) in zip(sums, terms):
+                    row += np.multiply(t, coeffs[i] * f, out=scratch)
         if coeffs is not None:
             out[inside] += _leibniz(nb, sums)
     return out.reshape(x.shape + columns)

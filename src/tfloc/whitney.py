@@ -89,7 +89,7 @@ def admissible_count(delta: float, threshold: float) -> int:
 
 
 def admissible_set(w: WhitneyDecomposition, C: float, eps: float) -> AdmissibleSet:
-    if C <= 0 or eps <= 0:
+    if not (C > 0 and eps > 0):  # nan fails it
         raise DomainError("C and eps must be positive")
     threshold = C * math.log(w.D) ** (1.0 + eps)
     counts = tuple(

@@ -39,9 +39,10 @@ entry one cos or one sin) with the weighted atom columns, the node tail
 the real and the imaginary phase rows times f w (under parity the one part
 the transform has), XI_BLOCK nodes at a time,
 and the tail sweep over its n uniform frequencies takes its phases from
-fourier.phase_ladder, as ft_at does (_sweep).  A problem builds its atoms
-and its rule once, on first use, and its solve, tail and support check
-share them.
+fourier.phase_ladder, as ft_at does (_sweep).  A WitnessProblem owns its
+admissible atoms and its rule, each built once on first use; every
+evaluation here reads them from the problem, and assemble_constraints(p)
+returns the rows together with the weighted atom columns.
 Each bell's Gevrey ramp turns over within about 1e-3 of its junction radius
 r, far below any uniform grid step, so the panels are graded geometrically
 toward every junction center, down to r 2^-GRADE_LEVELS.  Rows and tail agree
@@ -110,9 +111,10 @@ class WitnessProblem:
     parity: str = "none"
 
     def __post_init__(self):
-        if self.R1 <= 1.0 or self.R2 <= 1.0:
+        # written so that nan fails them
+        if not (self.R1 > 1.0 and self.R2 > 1.0):
             raise DomainError("witness radii must satisfy R1, R2 > 1")
-        if self.C <= 0 or self.eps <= 0:
+        if not (self.C > 0 and self.eps > 0):
             raise DomainError("witness needs C > 0 and eps > 0")
         if self.parity not in PARITIES:
             raise DomainError(f"parity must be one of {PARITIES}")
@@ -134,12 +136,9 @@ class WitnessProblem:
             + counting_function(self.scheme.m_nodes, self.R2)
         )
 
-    def atoms(self) -> list[LocalCosineAtom]:
-        """The admissible atoms S, built on the first call and kept."""
-        return list(self._atoms)
-
     @cached_property
-    def _atoms(self) -> tuple[LocalCosineAtom, ...]:
+    def atoms(self) -> tuple[LocalCosineAtom, ...]:
+        """The admissible atoms S, the columns of every witness matrix."""
         w = whitney_decompose(self.D)
         S = admissible_set(w, self.C, self.eps)
         if S.size == 0:
@@ -149,14 +148,14 @@ class WitnessProblem:
 
     @cached_property
     def _rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """_transform_nodes of the problem's own atoms, built once."""
-        return _transform_nodes(self, self._atoms)
+        """The transform rule (_transform_nodes) of the problem's atoms."""
+        return _transform_nodes(self)
 
 
-def _columns(p: WitnessProblem, atoms, x, order: int = 0, coeffs=None) -> np.ndarray:
-    """Order-`order` derivatives of each scaled, parity-extended atom at x.
+def _columns(p: WitnessProblem, x, order: int = 0, coeffs=None) -> np.ndarray:
+    """Order-`order` derivatives of each of p's scaled, parity-extended atoms at x.
 
-    Shape (len(x), len(atoms)), or (len(atoms),) for a scalar x; with
+    Shape (len(x), |S|), or (|S|,) for a scalar x; with
     `coeffs`, their combination sum_i coeffs[i] col_i, of shape x.shape,
     summed inside atom_matrix.  The chain rule gives the factor
     (2 R2)^order; under parity, f(x) = +-f(-x) makes the sign (-1)^order
@@ -170,7 +169,7 @@ def _columns(p: WitnessProblem, atoms, x, order: int = 0, coeffs=None) -> np.nda
         t = p.R2 * (2.0 * np.abs(x) - p.R1)
         flip = -1.0 if p.parity == "odd" else 1.0
         sign = np.where(x < 0, flip * (-1.0) ** order, 1.0)
-    cols = atom_matrix(atoms, t, order, coeffs)
+    cols = atom_matrix(p.atoms, t, order, coeffs)
     scale = sign * (2.0 * p.R2) ** order
     cols *= scale[..., None] if coeffs is None else scale
     if p.parity == "odd" and order % 2 == 0:
@@ -178,7 +177,7 @@ def _columns(p: WitnessProblem, atoms, x, order: int = 0, coeffs=None) -> np.nda
     return cols
 
 
-def _transform_nodes(p: WitnessProblem, atoms) -> tuple[np.ndarray, np.ndarray]:
+def _transform_nodes(p: WitnessProblem) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x and weights w of the rule that integrates the transform rows.
 
     The rule is built in atom units t on the union of the atoms' bell
@@ -190,7 +189,7 @@ def _transform_nodes(p: WitnessProblem, atoms) -> tuple[np.ndarray, np.ndarray]:
     (even) or i times the imaginary (odd) part of the folded sum.
     """
     cuts = set()
-    for bell in {a.bell for a in atoms}:
+    for bell in {a.bell for a in p.atoms}:
         for c, r in ((bell.left_center, bell.left_radius),
                      (bell.right_center, bell.right_radius)):
             cuts.add(c)
@@ -250,8 +249,10 @@ def _sweep(x, g, start: float, step: float, n: int) -> tuple[np.ndarray, np.ndar
     return start + step * np.arange(1, n + 1), out
 
 
-def assemble_constraints(p: WitnessProblem, atoms) -> np.ndarray:
-    """Real constraint matrix (rows = constraint entries, cols = atoms).
+def assemble_constraints(p: WitnessProblem) -> tuple[np.ndarray, np.ndarray]:
+    """(A, weighted): the real constraint matrix A (rows = constraint
+    entries, cols = p.atoms) and the weighted atom columns w col_i at the
+    nodes of p's rule, from which the solve forms f w for the tail.
 
     The rows are the lambda entries with |point| <= R1, then the M entries
     with |point| <= R2, each side in scheme order.  The lambda rows are one
@@ -260,27 +261,19 @@ def assemble_constraints(p: WitnessProblem, atoms) -> np.ndarray:
     the weighted atom columns.  Under parity the rule covers x > 0 only, so
     the sum is the whole transform's real part (even) or imaginary part
     (odd): an entry that carries the other part is an exact 0.0 row, and
-    the row count stays n_Lambda(R1) + n_M(R2).  The problem's own atoms
-    use its kept rule.
+    the row count stays n_Lambda(R1) + n_M(R2).
     """
-    return _assemble(p, atoms)[0]
-
-
-def _assemble(p: WitnessProblem, atoms) -> tuple[np.ndarray, np.ndarray]:
-    """(assemble_constraints, the weighted atom columns w col_i at the rule nodes)."""
-    if len(atoms) == 0:
-        raise DegenerateInputError("assemble_constraints needs a nonempty atom set")
     lam = p.scheme.lambda_nodes[np.abs(p.scheme.lambda_nodes["point"]) <= p.R1]
-    lam_rows = np.empty((len(lam), len(atoms)))
+    lam_rows = np.empty((len(lam), len(p.atoms)))
     for order in np.unique(lam["order"]).tolist():
         at = lam["order"] == order
-        lam_rows[at] = _columns(p, atoms, lam["point"][at], order)
+        lam_rows[at] = _columns(p, lam["point"][at], order)
     m = p.scheme.m_nodes[np.abs(p.scheme.m_nodes["point"]) <= p.R2]
     real = (m["point"] > 0) | ((m["point"] == 0.0) & (m["order"] % 2 == 0))
-    x, w = p._rule if list(atoms) == p.atoms() else _transform_nodes(p, atoms)
-    weighted = w[:, None] * _columns(p, atoms, x)
+    x, w = p._rule
+    weighted = w[:, None] * _columns(p, x)
     live = np.full(len(m), True) if p.parity == "none" else real == (p.parity == "even")
-    m_rows = np.zeros((len(m), len(atoms)))
+    m_rows = np.zeros((len(m), len(p.atoms)))
     m_rows[live] = _phases(x, np.abs(m["point"][live]), m["order"][live], real[live]) @ weighted
     return np.vstack([lam_rows, m_rows]), weighted
 
@@ -329,7 +322,7 @@ def select_null_vector(null_basis: np.ndarray) -> np.ndarray:
     raise DegenerateInputError("select_null_vector needs a nonempty null space")
 
 
-def _sampled(p: WitnessProblem, atoms, x, coeffs) -> np.ndarray:
+def _sampled(p: WitnessProblem, x, coeffs) -> np.ndarray:
     """The witness sum_i coeffs[i] col_i on the grid x.
 
     Under parity, where x is its own exact mirror (x == -x[::-1], as
@@ -339,9 +332,9 @@ def _sampled(p: WitnessProblem, atoms, x, coeffs) -> np.ndarray:
     are bit-identical to evaluating every point.
     """
     if p.parity == "none" or not np.array_equal(x, -x[::-1]):
-        return _columns(p, atoms, x, coeffs=coeffs)
+        return _columns(p, x, coeffs=coeffs)
     n = len(x) // 2
-    half = _columns(p, atoms, x[n:], coeffs=coeffs)
+    half = _columns(p, x[n:], coeffs=coeffs)
     sign = 1.0 if p.parity == "even" else -1.0
     return np.concatenate([sign * half[::-1][:n], half])
 
@@ -359,9 +352,8 @@ def solve_witness(p: WitnessProblem) -> WitnessResult:
     certificate reads, is the weighted atom columns of the assembly times
     the coefficients.
     """
-    atoms = p.atoms()
-    A, weighted = _assemble(p, atoms)
-    m = len(atoms)
+    A, weighted = assemble_constraints(p)
+    m = len(p.atoms)
     # U is never read: the thin SVD keeps it at min(rows, m)^2, while a
     # short A still gets the full V that spans R^m
     _, sv, Vt = np.linalg.svd(A, full_matrices=A.shape[0] < m)
@@ -376,11 +368,11 @@ def solve_witness(p: WitnessProblem) -> WitnessResult:
     residual = float(np.max(np.abs(A @ coeffs), initial=0.0))
     rule_values = weighted @ coeffs
     del weighted  # rule nodes x |S|: not held while the grid is sampled
-    f = SampledFunction.from_callable(lambda x: _sampled(p, atoms, x, coeffs), (-p.R1, p.R1))
+    f = SampledFunction.from_callable(lambda x: _sampled(p, x, coeffs), (-p.R1, p.R1))
     sup_x, sup_val = sup_norm(f)
     return WitnessResult(
         problem=p,
-        entries=tuple((a.j, a.k) for a in atoms),
+        entries=tuple((a.j, a.k) for a in p.atoms),
         coefficients=coeffs,
         null_dim=null_dim,
         residual=residual,
@@ -450,7 +442,7 @@ def outside_support_max(res: WitnessResult) -> float:
     x = np.linspace(p.R1, 2.0 * p.R1, OUTSIDE_POINTS + 1)[1:]
     if p.parity == "none":
         x = np.concatenate([-x, x])
-    vals = _columns(p, p.atoms(), x, coeffs=res.coefficients)
+    vals = _columns(p, x, coeffs=res.coefficients)
     return float(np.max(np.abs(vals)))
 
 

@@ -66,6 +66,12 @@ def test_admissible_empty_when_threshold_exceeds_largest_piece():
     assert admissible_set(whitney_decompose(8.0), 10.0, 0.1).size == 0
 
 
+@pytest.mark.parametrize("C, eps", [(math.nan, 0.1), (0.22, math.nan), (0.0, 0.1)])
+def test_admissible_set_rejects_nonpositive_and_nan(C, eps):
+    with pytest.raises(DomainError):
+        admissible_set(whitney_decompose(8.0), C, eps)
+
+
 def test_admissible_d8_halfunit_threshold():
     eps = 0.1
     C = 0.5 / math.log(8.0) ** (1.0 + eps)
