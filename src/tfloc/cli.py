@@ -35,7 +35,7 @@ THREAD_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
-ZETA_LAMBDA_NODE_CAP = 5_000_000
+LAMBDA_NODE_CAP = 5_000_000
 
 
 def _fmt(v) -> str:
@@ -141,24 +141,27 @@ def _load_zeros(path):
 
 
 def _build_scheme(name: str, zeros_file, R1_need: float, R2_need: float):
-    """Scheme whose node extents cover the requested radii."""
+    """Scheme whose node extents cover the requested radii, with lambda node
+    indices n up to max(R1, R2)^2 (rv) or exp(4 pi R1) (zeta), at most
+    LAMBDA_NODE_CAP: a radius is checked before it is squared or exponentiated."""
     if name == "rv":
         from .schemes import rv_scheme
 
-        max_n = int(math.ceil(max(R1_need, R2_need) ** 2)) + 1
+        R = max(R1_need, R2_need)
+        if R > math.sqrt(LAMBDA_NODE_CAP):
+            raise InputError(f"R = {R:g} needs ~R^2 rv lambda nodes (cap {LAMBDA_NODE_CAP})")
+        max_n = int(math.ceil(R ** 2)) + 1
         return rv_scheme(max_n)
     from .schemes import zeta_scheme
 
     zeros = _load_zeros(zeros_file)
-    need = math.exp(4.0 * math.pi * R1_need)
-    if need > ZETA_LAMBDA_NODE_CAP:
+    if 4.0 * math.pi * R1_need > math.log(LAMBDA_NODE_CAP):
         raise InputError(
-            f"R1 = {R1_need:g} needs ~exp(4 pi R1) = {need:.3g} zeta lambda "
-            f"nodes (cap {ZETA_LAMBDA_NODE_CAP})"
+            f"R1 = {R1_need:g} needs ~exp(4 pi R1) zeta lambda nodes (cap {LAMBDA_NODE_CAP})"
         )
     if len(zeros) == 0 or R2_need > zeros[-1]:
         raise InputError("zeros table does not reach the requested R2 extent")
-    return zeta_scheme(zeros, int(math.ceil(need)) + 1)
+    return zeta_scheme(zeros, int(math.ceil(math.exp(4.0 * math.pi * R1_need))) + 1)
 
 
 def _cmd_whitney(args) -> tuple[dict, int]:

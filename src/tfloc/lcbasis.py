@@ -30,7 +30,7 @@ from .errors import DegenerateInputError, DomainError
 from .fitting import ENVELOPE_FLOOR, REL_FLOOR, DecayFit, envelope_points, fit_decay
 from .fourier import DEFAULT_GRID, SampledFunction, ft_abs_half, ft_at, trapezoid_weights
 from .whitney import WhitneyDecomposition, admissible_count
-from .windows import BellWindow, build_bells
+from .windows import BellWindow, build_bells, leibniz
 
 
 @dataclass(frozen=True)
@@ -104,15 +104,6 @@ def _bell_trig(atom: LocalCosineAtom, ks, xs, sine: bool):
         yield w.real, w.imag
 
 
-def _leibniz(nb, d):
-    """(b cos)^(order) from nb = [b, b', ...] and d = [cos, cos', ...]."""
-    if len(d) == 1:
-        return nb[0] * d[0]
-    if len(d) == 2:
-        return nb[1] * d[0] + nb[0] * d[1]
-    return nb[2] * d[0] + 2.0 * nb[1] * d[1] + nb[0] * d[2]
-
-
 def atom_matrix(atoms, x, order: int = 0, coeffs=None) -> np.ndarray:
     """Derivative of order `order` of every atom at x, shape (len(x), len(atoms)).
 
@@ -151,12 +142,12 @@ def atom_matrix(atoms, x, order: int = 0, coeffs=None) -> np.ndarray:
             # the phase's cosine and its x-derivatives, each a factor times cos or sin
             terms = [(1.0, c), (-omega, s), (-omega * omega, c)][: order + 1]
             if coeffs is None:
-                out[inside, i] = _leibniz(nb, [f * t for f, t in terms])
+                out[inside, i] = leibniz(nb, [f * t for f, t in terms], order)
             else:
                 for row, (f, t) in zip(sums, terms):
                     row += np.multiply(t, coeffs[i] * f, out=scratch)
         if coeffs is not None:
-            out[inside] += _leibniz(nb, sums)
+            out[inside] += leibniz(nb, sums, order)
     return out.reshape(x.shape + columns)
 
 

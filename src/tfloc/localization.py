@@ -79,10 +79,24 @@ def prolate_operator(c: float, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def localization_spectrum(W: float, T: float) -> LocalizationSpectrum:
-    """Eigenvalues of the localization operator, descending."""
+    """Eigenvalues of the localization operator, descending.
+
+    MemoryError if the two parity blocks' eigenvectors, 8 (N / 2)^2 bytes
+    each with N the float 2c + EXTRA_MODES (inf included), exceed physical
+    memory; nothing is allocated before that check.
+    """
+    from .schemes import _physical_memory  # here, so importing this module stays light
+
     if W <= 0 or T <= 0:
         raise DomainError("localization_spectrum needs W > 0 and T > 0")
     c = 2.0 * np.pi * (W * T)
+    modes = 2.0 * c + EXTRA_MODES
+    need, memory = 4.0 * modes * modes, _physical_memory()
+    if need > memory:
+        raise MemoryError(
+            f"the {modes:.4g} Legendre modes need {need / 2**30:.4g} GiB of eigenvectors, "
+            f"more than the {memory / 2**30:.4g} GiB of physical memory"
+        )
     N = int(2.0 * c) + EXTRA_MODES
     diag, off = prolate_operator(c, N)
     k = np.arange(N, dtype=float)

@@ -76,8 +76,17 @@ class AdmissibleSet:
         return tuple((j, k) for j, c in self.counts for k in range(c))
 
     def deficit_constant(self) -> float:
-        """Reported constant C' = (D - |S|) / log^(2+eps)(D), not assumed."""
-        return (self.D - self.size) / math.log(self.D) ** (2.0 + self.eps)
+        """Reported constant C' = (D - |S|) / log^(2+eps)(D), not assumed;
+        0.0 where the power overflows."""
+        return (self.D - self.size) / _log_power(self.D, 2.0 + self.eps)
+
+
+def _log_power(D: float, p: float) -> float:
+    """log(D)^p, saturated to inf where it overflows a float."""
+    try:
+        return math.log(D) ** p
+    except OverflowError:
+        return math.inf
 
 
 def admissible_count(delta: float, threshold: float) -> int:
@@ -91,7 +100,7 @@ def admissible_count(delta: float, threshold: float) -> int:
 def admissible_set(w: WhitneyDecomposition, C: float, eps: float) -> AdmissibleSet:
     if not (C > 0 and eps > 0):  # nan fails it
         raise DomainError("C and eps must be positive")
-    threshold = C * math.log(w.D) ** (1.0 + eps)
+    threshold = C * _log_power(w.D, 1.0 + eps)
     counts = tuple(
         (j, admissible_count(w.pieces[j][1], threshold)) for j in w.large_indices
     )

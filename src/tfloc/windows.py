@@ -53,70 +53,61 @@ class GevreyProfile:
     def gamma(self) -> float:
         return (1.0 - self.eta) / self.eta
 
-    def _transition(self, u: np.ndarray, order: int = 0) -> list:
-        """[v, v', v''] up to `order` on the unit interval (saturation-safe).
-
-        Only points strictly inside (0, 1) are computed: below it v is 0,
-        above it 1, and every derivative is 0 on both sides.  On the ramp the
-        exponent is the true one; where it overflows or |q| > _EXP_CAP, v is
-        exactly 0 or 1 with zero derivatives.
-        """
-        g = self.gamma
-        mu = SHARPNESS
-        u = np.asarray(u, dtype=float)
-        flat = u.reshape(-1)
-        out = [np.where(flat >= 1.0, 1.0, 0.0)] + [np.zeros(flat.shape) for _ in range(order)]
-        ramp = np.flatnonzero((flat > 0.0) & (flat < 1.0))
-        ur = flat[ramp]
-        with np.errstate(over="ignore"):
-            q = mu * (ur ** (-g) - (1.0 - ur) ** (-g))
-        out[0][ramp] = np.where(q > 0.0, 0.0, 1.0)
-        live = np.abs(q) <= _EXP_CAP
-        at, ul, ql = ramp[live], ur[live], q[live]
-        vl = 1.0 / (1.0 + np.exp(ql))
-        out[0][at] = vl
-        if order >= 1:
-            w = vl * (1.0 - vl)
-            qp = -mu * g * (ul ** (-g - 1.0) + (1.0 - ul) ** (-g - 1.0))
-            dvl = -qp * w
-            out[1][at] = dvl
-        if order == 2:
-            qpp = mu * g * (g + 1.0) * (ul ** (-g - 2.0) - (1.0 - ul) ** (-g - 2.0))
-            out[2][at] = -qpp * w - qp * dvl * (1.0 - 2.0 * vl)
-        return [a.reshape(u.shape) for a in out]
-
     def jet(self, t, order: int = 0) -> list:
-        """[rho, rho', rho''] at t up to `order`, from one _transition pass.
+        """[rho, rho', rho''] at t up to `order`, rho = sin(pi v(u) / 2), u = (t + 1) / 2.
 
-        Only the ramp |t| < 1 is computed: rho is exactly 1 at t >= 1 and 0
-        below, with zero derivatives, as the formula gives there.  sin and
-        cos of pi v / 2 are evaluated only where 0 < v < 1.  Elsewhere on
-        the ramp v is exactly 0 or 1, where sin is v and cos is 1 - v; at
-        v = 1 that replaces cos(pi / 2) ~ 6e-17, which only ever multiplies
-        the zero derivatives of v there, so every output keeps its exact
-        bits.
+        Only the ramp 0 < u < 1 is computed: rho is exactly 1 at u >= 1 (a
+        t just below 1 may round to u = 1) and 0 below.  On the ramp the
+        exponent q of v = 1 / (1 + e^q) is the true one; where it overflows
+        or |q| > _EXP_CAP, v is exactly 0 or 1 and so is rho, with zero
+        derivatives.  sin and cos of pi v / 2 are evaluated only where
+        0 < v < 1; elsewhere sin is v and cos is 1 - v, which replaces
+        cos(pi / 2) ~ 6e-17 at v = 1, where it only ever multiplies the zero
+        derivatives of v, so every output keeps its exact bits.
         """
         if not 0 <= order <= MAX_BELL_DERIVATIVE:
             raise UnsupportedOrderError(
                 f"profile derivatives implemented up to order {MAX_BELL_DERIVATIVE}"
             )
+        g = self.gamma
+        mu = SHARPNESS
         t = np.asarray(t, dtype=float)
-        flat = t.reshape(-1)
-        out = [np.where(flat >= 1.0, 1.0, 0.0)] + [np.zeros(flat.shape) for _ in range(order)]
-        ramp = np.flatnonzero(np.abs(flat) < 1.0)
-        v = self._transition((flat[ramp] + 1.0) * 0.5, order)
-        turn = (v[0] > 0.0) & (v[0] < 1.0)
-        half_pi_v = 0.5 * np.pi * v[0][turn]
-        sin = v[0].copy()
+        u = ((t + 1.0) * 0.5).reshape(-1)
+        out = [np.where(u >= 1.0, 1.0, 0.0)] + [np.zeros(u.shape) for _ in range(order)]
+        ramp = np.flatnonzero((u > 0.0) & (u < 1.0))
+        ur = u[ramp]
+        with np.errstate(over="ignore"):
+            q = mu * (ur ** (-g) - (1.0 - ur) ** (-g))
+        out[0][ramp] = np.where(q > 0.0, 0.0, 1.0)
+        live = np.abs(q) <= _EXP_CAP
+        at, ul = ramp[live], ur[live]
+        vl = 1.0 / (1.0 + np.exp(q[live]))
+        turn = (vl > 0.0) & (vl < 1.0)
+        half_pi_v = 0.5 * np.pi * vl[turn]
+        sin = vl.copy()
         sin[turn] = np.sin(half_pi_v)
-        out[0][ramp] = sin
+        out[0][at] = sin
         if order >= 1:
-            cos = 1.0 - v[0]
+            w = vl * (1.0 - vl)
+            qp = -mu * g * (ul ** (-g - 1.0) + (1.0 - ul) ** (-g - 1.0))
+            dvl = -qp * w
+            cos = 1.0 - vl
             cos[turn] = np.cos(half_pi_v)
-            out[1][ramp] = 0.25 * np.pi * cos * v[1]
+            out[1][at] = 0.25 * np.pi * cos * dvl
         if order == 2:
-            out[2][ramp] = 0.125 * np.pi * (cos * v[2] - 0.5 * np.pi * sin * v[1] * v[1])
+            qpp = mu * g * (g + 1.0) * (ul ** (-g - 2.0) - (1.0 - ul) ** (-g - 2.0))
+            d2vl = -qpp * w - qp * dvl * (1.0 - 2.0 * vl)
+            out[2][at] = 0.125 * np.pi * (cos * d2vl - 0.5 * np.pi * sin * dvl * dvl)
         return [a.reshape(t.shape)[()] for a in out]
+
+
+def leibniz(a, b, m: int):
+    """(ab)^(m) from the jets a = [a, a', ...] and b = [b, b', ...], m <= 2."""
+    if m == 0:
+        return a[0] * b[0]
+    if m == 1:
+        return a[1] * b[0] + a[0] * b[1]
+    return a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2]
 
 
 @dataclass(frozen=True)
@@ -143,20 +134,15 @@ class BellWindow:
         return (self.left_center, self.right_center)
 
     def jet(self, x, order: int = 0) -> list:
-        """[b, b', b''] at x up to `order`: one profile jet per junction."""
+        """[b, b', b''] at x up to `order`: one profile jet per junction,
+        each scaled to x by the chain rule, and their product by leibniz."""
         x = np.asarray(x, dtype=float)
         rise = self.profile.jet((x - self.left_center) / self.left_radius, order)
         fall = self.profile.jet((self.right_center - x) / self.right_radius, order)
-        out = [rise[0] * fall[0]]
-        if order >= 1:
-            d_rise = rise[1] / self.left_radius
-            d_fall = -fall[1] / self.right_radius
-            out.append(d_rise * fall[0] + rise[0] * d_fall)
-        if order == 2:
-            dd_rise = rise[2] / self.left_radius**2
-            dd_fall = fall[2] / self.right_radius**2
-            out.append(dd_rise * fall[0] + 2.0 * d_rise * d_fall + rise[0] * dd_fall)
-        return out
+        for m in range(1, order + 1):
+            rise[m] = rise[m] / self.left_radius**m
+            fall[m] = fall[m] / (-self.right_radius) ** m
+        return [leibniz(rise, fall, m) for m in range(order + 1)]
 
     def value(self, x):
         return self.jet(x)[0]

@@ -52,10 +52,11 @@ those of its transform, not of the quadrature.  The uniform 2^16-point grid
 on [-R1, R1] serves only the sampled witness: its sup, its L2 norm and the
 support check.  On that grid and on the support check, f = sum_i a_i col_i
 is summed bell by bell inside atom_matrix (_columns with coeffs), so no
-points x |S| matrix is formed; under parity a grid that is its own exact
-mirror is evaluated on x >= 0 alone (_sampled), and the support check on
-x > R1 alone.  The tail reads f w at the rule nodes from the solve, which
-forms it from the weighted atom columns of the assembly (rule_values).
+points x |S| matrix is formed.  Under parity, _columns evaluates any point
+set that is its own exact mirror on x >= 0 alone, at every order: the
+grid when its step allows it, and the support check on x > R1 alone.  The
+tail reads f w at the rule nodes from the solve, which forms it from the
+weighted atom columns of the assembly (rule_values).
 
 Coefficients are the normalized orthogonal projection of the all-ones
 vector onto the numerical null space (the right singular vectors whose
@@ -160,15 +161,24 @@ def _columns(p: WitnessProblem, x, order: int = 0, coeffs=None) -> np.ndarray:
     summed inside atom_matrix.  The chain rule gives the factor
     (2 R2)^order; under parity, f(x) = +-f(-x) makes the sign (-1)^order
     for x < 0, negated again under odd parity, and an odd f has every
-    even-order derivative zero at 0.
+    even-order derivative zero at 0.  Under parity, a 1-D x of more than one
+    point that is its own exact mirror (x == -x[::-1], as
+    linspace(-R1, R1, n) is when its step is a short binary fraction) with
+    its first half below 0 is evaluated on x >= 0 alone and mirrored with
+    that sign: atom_matrix reads |x| alone and the sign only then applies,
+    so every value is bit-identical to evaluating each point.
     """
     x = np.asarray(x, dtype=float)
     if p.parity == "none":
         t, sign = 2.0 * p.R2 * x, np.ones_like(x)
     else:
+        mirror = (-1.0 if p.parity == "odd" else 1.0) * (-1.0) ** order
+        n = len(x) // 2 if x.ndim == 1 else 0
+        if n and np.all(x[:n] < 0) and np.array_equal(x, -x[::-1]):
+            half = _columns(p, x[n:], order, coeffs)
+            return np.concatenate([mirror * half[::-1][:n], half])
         t = p.R2 * (2.0 * np.abs(x) - p.R1)
-        flip = -1.0 if p.parity == "odd" else 1.0
-        sign = np.where(x < 0, flip * (-1.0) ** order, 1.0)
+        sign = np.where(x < 0, mirror, 1.0)
     cols = atom_matrix(p.atoms, t, order, coeffs)
     scale = sign * (2.0 * p.R2) ** order
     cols *= scale[..., None] if coeffs is None else scale
@@ -322,23 +332,6 @@ def select_null_vector(null_basis: np.ndarray) -> np.ndarray:
     raise DegenerateInputError("select_null_vector needs a nonempty null space")
 
 
-def _sampled(p: WitnessProblem, x, coeffs) -> np.ndarray:
-    """The witness sum_i coeffs[i] col_i on the grid x.
-
-    Under parity, where x is its own exact mirror (x == -x[::-1], as
-    linspace(-R1, R1, n) is when its step is a short binary fraction), f is
-    evaluated on x >= 0 alone and mirrored with the parity's sign.  _columns
-    reads |x| alone and only then applies the sign, so the mirrored values
-    are bit-identical to evaluating every point.
-    """
-    if p.parity == "none" or not np.array_equal(x, -x[::-1]):
-        return _columns(p, x, coeffs=coeffs)
-    n = len(x) // 2
-    half = _columns(p, x[n:], coeffs=coeffs)
-    sign = 1.0 if p.parity == "even" else -1.0
-    return np.concatenate([sign * half[::-1][:n], half])
-
-
 def solve_witness(p: WitnessProblem) -> WitnessResult:
     """Unit-norm witness coefficients for p's constraints, plus audits.
 
@@ -348,7 +341,7 @@ def solve_witness(p: WitnessProblem) -> WitnessResult:
     A problem with no constraint rows is the same rule: V = I, so the
     coefficients are ones / sqrt(|S|).  The sign makes the leading entry
     above 1e-14 positive.  The witness is sampled at DEFAULT_GRID + 1 points
-    of [-R1, R1] (_sampled), and f w at the rule nodes, which the tail
+    of [-R1, R1] (_columns), and f w at the rule nodes, which the tail
     certificate reads, is the weighted atom columns of the assembly times
     the coefficients.
     """
@@ -368,7 +361,7 @@ def solve_witness(p: WitnessProblem) -> WitnessResult:
     residual = float(np.max(np.abs(A @ coeffs), initial=0.0))
     rule_values = weighted @ coeffs
     del weighted  # rule nodes x |S|: not held while the grid is sampled
-    f = SampledFunction.from_callable(lambda x: _sampled(p, x, coeffs), (-p.R1, p.R1))
+    f = SampledFunction.from_callable(lambda x: _columns(p, x, coeffs=coeffs), (-p.R1, p.R1))
     sup_x, sup_val = sup_norm(f)
     return WitnessResult(
         problem=p,
@@ -436,13 +429,12 @@ def tail_certificate(res: WitnessResult, n_xi: int = 400) -> TailReport:
 def outside_support_max(res: WitnessResult) -> float:
     """max |f| over |x| in (R1, 2 R1]: zero when the support claim holds.
 
-    Under parity |f(-x)| = |f(x)| exactly, so (R1, 2 R1] alone is evaluated.
+    The points are one mirror-exact grid, so under parity _columns evaluates
+    (R1, 2 R1] alone and |f(-x)| = |f(x)| exactly.
     """
     p = res.problem
     x = np.linspace(p.R1, 2.0 * p.R1, OUTSIDE_POINTS + 1)[1:]
-    if p.parity == "none":
-        x = np.concatenate([-x, x])
-    vals = _columns(p, x, coeffs=res.coefficients)
+    vals = _columns(p, np.concatenate([-x[::-1], x]), coeffs=res.coefficients)
     return float(np.max(np.abs(vals)))
 
 

@@ -177,6 +177,16 @@ def test_input_errors_exit_1(tmp_path, capsys):
          "--eps", "0.1", "--thin", "0.2", "--seed", "-1"],
         # a 9,000,001^2 grid is above the 47-bit address space: MemoryError
         [*BOUND_README[:-3], "1e-6", "--eps", "0.1"],
+        # lambda node counts above the cap, checked before R is squared or
+        # exponentiated, and localization eigenvectors beyond physical memory
+        ["witness", "--scheme", "rv", "--R1", "1e10", "--R2", "3", "--C", "0.22",
+         "--eps", "0.1"],
+        ["bound", "--scheme", "rv", "--R1-max", "1e300", "--R2-max", "3",
+         "--step", "0.1", "--eps", "0.1"],
+        ["bound", "--scheme", "zeta", "--R1-max", "1e300", "--R2-max", "10",
+         "--step", "0.1", "--eps", "0.1"],
+        ["prolate", "--W", "1e9", "--T", "1e9"],
+        ["prolate", "--W", "1e300", "--T", "1e300"],
     ]
     for argv in out_of_range:
         assert main(argv) == 1, argv
@@ -184,7 +194,7 @@ def test_input_errors_exit_1(tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith(f"tfloc {argv[0]}: "), argv
 
 
-@pytest.mark.parametrize("C, eps", [("50", "0.1"), ("0.22", "3")])
+@pytest.mark.parametrize("C, eps", [("50", "0.1"), ("0.22", "3"), ("0.22", "1000")])
 def test_witness_without_admissible_atoms_names_the_input(C, eps, capsys):
     # C log^(1+eps) D exceeds every piece length at D = 36, so |S| = 0
     argv = ["witness", "--scheme", "rv", "--R1", "3", "--R2", "3", "--C", C, "--eps", eps]

@@ -66,6 +66,13 @@ def test_admissible_empty_when_threshold_exceeds_largest_piece():
     assert admissible_set(whitney_decompose(8.0), 10.0, 0.1).size == 0
 
 
+def test_overflowing_log_power_admits_nothing():
+    # log(36)^1001 overflows a float: the threshold saturates to inf, and the
+    # deficit constant divides by an infinite log^(2+eps)
+    S = admissible_set(whitney_decompose(36.0), 1.0, 1000.0)
+    assert S.size == 0 and S.deficit_constant() == 0.0
+
+
 @pytest.mark.parametrize("C, eps", [(math.nan, 0.1), (0.22, math.nan), (0.0, 0.1)])
 def test_admissible_set_rejects_nonpositive_and_nan(C, eps):
     with pytest.raises(DomainError):

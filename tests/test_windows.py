@@ -61,6 +61,20 @@ def _full_array_transition(eta, u):
     return v, dv, d2v
 
 
+def _full_array_jet(eta, t, order):
+    """GevreyProfile.jet's formula from _full_array_transition, with sin and
+    cos of pi v / 2 evaluated at every point, ramp or not."""
+    v = _full_array_transition(eta, (np.asarray(t, dtype=float) + 1.0) * 0.5)
+    half_pi_v = 0.5 * np.pi * v[0]
+    out = [np.sin(half_pi_v)]
+    if order >= 1:
+        cos = np.cos(half_pi_v)
+        out.append(0.25 * np.pi * cos * v[1])
+    if order == 2:
+        out.append(0.125 * np.pi * (cos * v[2] - 0.5 * np.pi * out[0] * v[1] * v[1]))
+    return out
+
+
 @pytest.mark.parametrize("eta", [0.0909, 0.3, 0.5, 0.9, 0.97])
 def test_ramp_only_transition_matches_full_array_formula(eta):
     # at eta = 0.97 the exponent 5e-14 inside either ramp end is still about
@@ -72,9 +86,8 @@ def test_ramp_only_transition_matches_full_array_formula(eta):
     rho = GevreyProfile(eta)
     for order in range(3):
         for ts in (t, np.float64(-(1.0 - 1e-13)), np.float64(0.37)):
-            u = (np.asarray(ts) + 1.0) * 0.5
-            got = rho._transition(u, order)
-            want = _full_array_transition(eta, u)[: order + 1]
+            got = rho.jet(ts, order)
+            want = _full_array_jet(eta, ts, order)
             assert len(got) == order + 1
             for a, b in zip(got, want):
                 assert np.shape(a) == np.shape(ts)
@@ -192,20 +205,6 @@ def test_edge_transform_decay_positive_and_stable(eta):
     assert abs(rates[1] - rates[0]) < 0.25 * rates[0]
 
 
-def _jet_with_trig_everywhere(rho, t, order):
-    """GevreyProfile.jet's formula with sin and cos of pi v / 2 evaluated at
-    every point, ramp or not."""
-    v = rho._transition((np.asarray(t, dtype=float) + 1.0) * 0.5, order)
-    half_pi_v = 0.5 * np.pi * v[0]
-    out = [np.sin(half_pi_v)]
-    if order >= 1:
-        cos = np.cos(half_pi_v)
-        out.append(0.25 * np.pi * cos * v[1])
-    if order == 2:
-        out.append(0.125 * np.pi * (cos * v[2] - 0.5 * np.pi * out[0] * v[1] * v[1]))
-    return out
-
-
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
@@ -225,11 +224,11 @@ def test_jet_bit_identical_to_trig_everywhere(eta):
             q = SHARPNESS * (u[ramp] ** -rho.gamma - (1.0 - u[ramp]) ** -rho.gamma)
         assert np.any(np.abs(q) > _EXP_CAP)
     for order in range(3):
-        got, want = rho.jet(t, order), _jet_with_trig_everywhere(rho, t, order)
+        got, want = rho.jet(t, order), _full_array_jet(eta, t, order)
         for g, w in zip(got, want):
             assert np.array_equal(_bits(g), _bits(w))
         for s in (-1.0, 0.0, 1.0, -0.5, 0.3, 2.0):
-            got, want = rho.jet(s, order), _jet_with_trig_everywhere(rho, s, order)
+            got, want = rho.jet(s, order), _full_array_jet(eta, s, order)
             for g, w in zip(got, want):
                 assert type(g) is type(w) and _bits(g) == _bits(w)
 
@@ -239,7 +238,7 @@ def test_jet_evaluates_trig_only_on_the_ramp(eta, count_trig):
     trig = count_trig(windows)
     rho = GevreyProfile(eta)
     t = np.linspace(-2.0, 2.0, 4001)
-    v = rho._transition((t + 1.0) * 0.5)[0]
+    v = _full_array_transition(eta, (t + 1.0) * 0.5)[0]
     ramp = np.count_nonzero((v > 0.0) & (v < 1.0))
     assert 0 < ramp < len(t) // 2
     for order in range(3):

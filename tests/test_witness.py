@@ -793,6 +793,28 @@ def test_problem_builds_its_atoms_and_rule_once(monkeypatch):
     assert calls == {"admissible_set": 1, "_transform_nodes": 1}
 
 
+def _halves(p, x, order=0, coeffs=None):
+    """_columns of x's two halves, each evaluated at every one of its points:
+    neither half of a mirror-exact x with its first half below 0 is itself
+    a mirror."""
+    n = len(x) // 2
+    return np.concatenate([witness._columns(p, x[:n], order, coeffs),
+                           witness._columns(p, x[n:], order, coeffs)])
+
+
+@pytest.fixture
+def atom_points(monkeypatch):
+    """The number of points of each atom_matrix call the witness makes."""
+    sizes = []
+
+    def counted(atoms, t, *args, fn=witness.atom_matrix):
+        sizes.append(np.size(t))
+        return fn(atoms, t, *args)
+
+    monkeypatch.setattr(witness, "atom_matrix", counted)
+    return sizes
+
+
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_mirrored_sampled_witness_bit_identical_to_full_grid(parity, request):
     # the grid of [-3, 3] is its own exact mirror, so the witness is
@@ -802,28 +824,50 @@ def test_mirrored_sampled_witness_bit_identical_to_full_grid(parity, request):
     p = r.problem
     x = np.linspace(-p.R1, p.R1, len(r.function.samples))
     assert np.array_equal(x, -x[::-1])
-    full = witness._columns(p, x, coeffs=r.coefficients)
+    full = _halves(p, x, coeffs=r.coefficients)
     assert np.array_equal(r.function.samples.view(np.uint64), full.view(np.uint64))
 
 
 @pytest.mark.parametrize("R1, mirror", [(3.0, True), (8.0, True), (3.3, False), (1.01, False)])
-def test_sampled_witness_folds_only_mirror_grids(R1, mirror, monkeypatch):
+def test_sampled_witness_folds_only_mirror_grids(R1, mirror, atom_points):
     # linspace(-R1, R1, 2^16 + 1) is its own mirror at R1 = 3 and 8, not at
     # 3.3 or 1.01: those grids are evaluated point by point, as before
     p = WitnessProblem(THINNED, R1, 3.0, 0.10, 0.1, "even")
     coeffs = np.random.default_rng(5).standard_normal(len(p.atoms))
     x = np.linspace(-R1, R1, (1 << 16) + 1)
-    full = witness._columns(p, x, coeffs=coeffs)
-    sizes = []
-
-    def counted(p, x, order=0, coeffs=None, fn=witness._columns):
-        sizes.append(np.size(x))
-        return fn(p, x, order, coeffs)
-
-    monkeypatch.setattr(witness, "_columns", counted)
-    got = witness._sampled(p, x, coeffs)
-    assert sizes == [(1 << 15) + 1 if mirror else (1 << 16) + 1]
+    full = _halves(p, x, coeffs=coeffs)
+    atom_points.clear()
+    got = witness._columns(p, x, coeffs=coeffs)
+    assert atom_points == [(1 << 15) + 1 if mirror else (1 << 16) + 1]
     assert np.array_equal(got.view(np.uint64), full.view(np.uint64))
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_columns_fold_every_order_and_form(parity, atom_points):
+    # an odd-length grid through 0 and an even-length point set without it:
+    # at every order, as a matrix and with coeffs, the folded evaluation is
+    # bit for bit the two halves evaluated apart, from x >= 0 alone
+    p = WitnessProblem(THINNED, 3.0, 3.0, 0.10, 0.1, parity)
+    coeffs = np.random.default_rng(7).standard_normal(len(p.atoms))
+    y = np.linspace(0.05, 3.2, 501)
+    for x in (np.linspace(-3.5, 3.5, (1 << 12) + 1), np.concatenate([-y[::-1], y])):
+        assert np.array_equal(x, -x[::-1])
+        for order in range(3):
+            for c in (None, coeffs):
+                want = _halves(p, x, order, c)
+                atom_points.clear()
+                got = witness._columns(p, x, order, c)
+                assert atom_points == [len(x) - len(x) // 2]
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # a lone point at 0, as a derivative node there, is its own mirror too;
+    # and a 0 in the first half takes the sign of x >= 0, not the mirror's
+    zero = [witness._columns(p, [0.0], order) for order in range(3)]
+    for order in range(3):
+        atom_points.clear()
+        assert witness._columns(p, [0.0], order).shape == (1, len(p.atoms))
+        assert atom_points == [1]
+        got = witness._columns(p, [0.0, 0.0], order)
+        assert np.array_equal(got.view(np.uint64), np.vstack([zero[order]] * 2).view(np.uint64))
 
 
 def test_even_sampled_witness_takes_trig_on_half_the_grid(count_trig, thin_even):
@@ -839,8 +883,8 @@ def test_even_sampled_witness_takes_trig_on_half_the_grid(count_trig, thin_even)
         evaluate()
         return [c.points for c in counters]
 
-    full = points(lambda: witness._columns(p, x, coeffs=coeffs))
-    half = points(lambda: witness._sampled(p, x, coeffs))
+    full = points(lambda: _halves(p, x, coeffs=coeffs))
+    half = points(lambda: witness._columns(p, x, coeffs=coeffs))
     zero = points(lambda: witness._columns(p, np.zeros(1), coeffs=coeffs))
     assert full[0] > 0 and [2 * h - z for h, z in zip(half, zero)] == full
 
@@ -856,7 +900,7 @@ def test_tail_certificate_evaluates_no_atom(thin_none, thin_even, monkeypatch):
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
-def test_outside_support_max_one_sided_under_parity(parity, request):
+def test_outside_support_max_one_sided_under_parity(parity, request, atom_points):
     # the witness's atoms on a problem whose R1 is too short for them, so
     # that f is nonzero beyond R1: the one-sided check must find the
     # two-sided maximum
@@ -865,5 +909,7 @@ def test_outside_support_max_one_sided_under_parity(parity, request):
     p.__dict__["atoms"] = r.problem.atoms   # the cached_property's slot
     x = np.linspace(p.R1, 2.0 * p.R1, witness.OUTSIDE_POINTS + 1)[1:]
     both = witness._columns(p, np.concatenate([-x, x]), coeffs=r.coefficients)
+    atom_points.clear()
     got = outside_support_max(dataclasses.replace(r, problem=p))
     assert got > 0.1 and got == np.max(np.abs(both))
+    assert atom_points == [witness.OUTSIDE_POINTS]   # (R1, 2 R1] alone
