@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError
 from .fitting import ENVELOPE_FLOOR, REL_FLOOR, DecayFit, envelope_points, fit_decay
 from .fourier import DEFAULT_GRID, SampledFunction, ft_abs_half, ft_at, trapezoid_weights
-from .whitney import WhitneyDecomposition, admissible_count
+from .whitney import WhitneyDecomposition, _log_power, admissible_count
 from .windows import BellWindow, build_bells, leibniz
 
 
@@ -79,14 +79,15 @@ def _bell_trig(atom: LocalCosineAtom, ks, xs, sine: bool):
     Atoms on one bell share its cosine interval, so atom k has the phase
     (2k + 1) theta with theta the k = 0 phase: cos and sin of theta are
     evaluated once per point, and every k is reached by rotations through
-    2 theta, one complex multiply w *= z^2 per step on w = cos + i sin, so
-    an atom's value does not depend on the atoms evaluated with it.  When ks
-    is [0] and `sine` is false, only cos is evaluated (sin is None).  The
-    arrays are views of a buffer that the next rotation overwrites.  The
-    rotation adds about k ulps to each value, the order of the rounding
-    that the direct phase omega_k (x - alpha) already carries: on the
-    delta = 512 bell the worst atom error over k <= 510 is below the direct
-    formula's.
+    2 theta, one complex multiply w z^2 per step on w = cos + i sin, into a
+    second buffer (numpy rounds an in-place product of one point apart from
+    one of many), so an atom's value does not depend on the atoms or points
+    evaluated with it.  When ks is [0] and `sine` is false, only cos is
+    evaluated (sin is None).  The arrays are views of a buffer that a later
+    rotation overwrites.  The rotation adds about k ulps to each value, the
+    order of the rounding that the direct phase omega_k (x - alpha) already
+    carries: on the delta = 512 bell the worst atom error over k <= 510 is
+    below the direct formula's.
     """
     theta = 2.0 * np.pi * (0.25 / atom.delta) * (xs - atom.alpha)  # xi of k = 0
     c = np.cos(theta)
@@ -96,10 +97,11 @@ def _bell_trig(atom: LocalCosineAtom, ks, xs, sine: bool):
     w = np.empty(len(xs), dtype=complex)
     w.real, w.imag = c, np.sin(theta)
     z2 = w * w
+    spare = np.empty_like(w)
     k = 0
     for want in ks:
         for _ in range(want - k):
-            w *= z2
+            w, spare = np.multiply(w, z2, out=spare), w
         k = want
         yield w.real, w.imag
 
@@ -110,16 +112,24 @@ def atom_matrix(atoms, x, order: int = 0, coeffs=None) -> np.ndarray:
     A scalar x gives shape (len(atoms),).  With `coeffs`, the result is
     sum_i coeffs[i] * atom_i^(order)(x), of shape x.shape, added up bell by
     bell, so no len(x) x len(atoms) array is formed.  This is the one atom
-    evaluator.  Per bell with a point of x inside its support, on those
-    points only, the bell factor norm_factor * b (up to b^(order)) is
-    computed once, and the cosines of all its atoms come from one cos and
-    one sin per point (_bell_trig).  With `coeffs`, the weighted cosines
-    and their derivatives are added up first and multiplied by the bell
-    factor once per bell.  Every other entry is 0.0.  An order outside
-    0 .. windows.MAX_BELL_DERIVATIVE raises in the bell jet.
+    evaluator.  The points are read in ascending order, as given when they
+    ascend (a grid, a rule), else through one stable argsort, whose
+    permutation writes each value back; each bell's points are then one
+    searchsorted slice, both support ends included.  On them only, the bell
+    factor norm_factor * b (up to b^(order)) is computed once per bell, and
+    the cosines of all its atoms come from one cos and one sin per point
+    (_bell_trig).  With `coeffs`, the weighted cosines and their
+    derivatives are added up first and multiplied by the bell factor once
+    per bell.  Every other entry, nan's included, is 0.0, and no value
+    depends on the other points.  An order outside 0 ..
+    windows.MAX_BELL_DERIVATIVE raises in the bell jet.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
+    perm = None
+    if not np.all(flat[1:] >= flat[:-1]):  # nan fails it too
+        perm = np.argsort(flat, kind="stable")
+        flat = flat[perm]
     columns = (len(atoms),) if coeffs is None else ()
     out = np.zeros((len(flat),) + columns)
     by_bell: dict[BellWindow, list[int]] = {}
@@ -127,10 +137,10 @@ def atom_matrix(atoms, x, order: int = 0, coeffs=None) -> np.ndarray:
         by_bell.setdefault(a.bell, []).append(i)
     for bell, cols in by_bell.items():
         lo, hi = bell.support
-        inside = np.flatnonzero((flat >= lo) & (flat <= hi))
-        if inside.size == 0:
+        at = slice(np.searchsorted(flat, lo, "left"), np.searchsorted(flat, hi, "right"))
+        if at.start == at.stop:
             continue
-        xs = flat[inside]
+        xs, inside = flat[at], (at if perm is None else perm[at])
         cols.sort(key=lambda i: atoms[i].k)  # stable: equal ks keep their order
         nf = atoms[cols[0]].norm_factor
         nb = [nf * bk for bk in bell.jet(xs, order)]
@@ -308,13 +318,14 @@ def derivative_bound_check(
     """Measure c = sup |F Phi^(n)| D^T1 |xi|^T2 over [xi_lo, xi_hi].
 
     Admissibility is whitney.admissible_count's rule at the threshold
-    C log^(1/(1-eta)) D; the report is flagged vacuous (admissible=False)
-    when the atom index fails it.
+    C log^(1/(1-eta)) D, inf where the power overflows (eta near 1) and C is
+    not 0; the report is flagged vacuous (admissible=False) when the atom
+    index fails it.
     """
     if xi_lo <= 0.5:
         raise DomainError("derivative bound sweep starts above |xi| = 1/2")
     D = atom.domain[1] - atom.domain[0]
-    threshold = C * math.log(D) ** (1.0 / (1.0 - eta))
+    threshold = C * _log_power(D, 1.0 / (1.0 - eta)) if C else 0.0
     admissible = atom.k < admissible_count(atom.delta, threshold)
     f = atom.to_sampled(grid_n)
     xi = np.geomspace(xi_lo, xi_hi, n_xi)

@@ -195,7 +195,8 @@ def audit_bound(
     np.add(n1[:, None], n2[None, :], out=slack)
     slack -= 4.0 * np.outer(R1, R2)
     i, j = np.unravel_index(np.argmin(slack), slack.shape)
-    logs = np.log(4.0 * np.outer(R1, R2)) ** (2.0 + eps)
+    with np.errstate(over="ignore"):  # saturates to inf, as whitney._log_power does
+        logs = np.log(4.0 * np.outer(R1, R2)) ** (2.0 + eps)
     C_fit = float(max(0.0, np.max(-slack / logs)))
     return BoundAudit(
         R1=R1,
@@ -256,8 +257,9 @@ def riemann_von_mangoldt_check(
     straddle = straddle[(straddle >= lo) & (straddle <= hi)]
     T = np.unique(np.concatenate([T, straddle, [hi]]))
     N = np.searchsorted(zeros, T, side="right")
-    logs = np.log(T) ** (2.0 + eps)
-    margin = N - (rvm_main_term(T) - C * logs)
+    with np.errstate(over="ignore"):  # saturates to inf, as whitney._log_power does
+        logs = np.log(T) ** (2.0 + eps)
+        margin = N - (rvm_main_term(T) - (C * logs if C else 0.0))  # C = 0: no term, not 0 inf
     i = int(np.argmin(margin))
     need = rvm_main_term(T) - N
     with np.errstate(divide="ignore", invalid="ignore"):

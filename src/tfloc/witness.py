@@ -32,17 +32,19 @@ parity the rule covers x > 0 alone, with doubled weights: the phase at -x
 is the conjugate of the phase at x, so the whole-line integral is the real
 part (even) or i times the imaginary part (odd) of the half-line sum, and
 every atom is evaluated once per rule node, not at both +-x.  Each is
-batched into a few large array operations: the lambda rows are one atom
-evaluation per derivative order, the M rows one product of their real
-phase matrix (_phases, one row per node at its own point and order, each
-entry one cos or one sin) with the weighted atom columns, the node tail
-the real and the imaginary phase rows times f w (under parity the one part
-the transform has), XI_BLOCK nodes at a time,
-and the tail sweep over its n uniform frequencies takes its phases from
-fourier.phase_ladder, as ft_at does (_sweep).  A WitnessProblem owns its
-admissible atoms and its rule, each built once on first use; every
-evaluation here reads them from the problem, and assemble_constraints(p)
-returns the rows together with the weighted atom columns.
+batched into a few large array operations: the order-0 lambda rows and the
+weighted atom columns at the rule nodes are one atom evaluation on their
+points together, and each other derivative order of the lambda rows one
+more; the M rows are one product of their real phase matrix (_phases, one
+row per node at its own point and order, each entry one cos or one sin)
+with the weighted atom columns, the node tail the real and the imaginary
+phase rows times f w (under parity the one part the transform has),
+XI_BLOCK nodes at a time, and the tail sweep over its n uniform frequencies
+takes its phases from fourier.phase_ladder, as ft_at does, with one GEMM
+per derivative order (_sweep).  A WitnessProblem owns its admissible atoms
+and its rule, each built once on first use; every evaluation here reads
+them from the problem, and assemble_constraints(p) returns the rows
+together with the weighted atom columns.
 Each bell's Gevrey ramp turns over within about 1e-3 of its junction radius
 r, far below any uniform grid step, so the panels are graded geometrically
 toward every junction center, down to r 2^-GRADE_LEVELS.  Rows and tail agree
@@ -170,7 +172,7 @@ def _columns(p: WitnessProblem, x, order: int = 0, coeffs=None) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     if p.parity == "none":
-        t, sign = 2.0 * p.R2 * x, np.ones_like(x)
+        t, sign = 2.0 * p.R2 * x, 1.0
     else:
         mirror = (-1.0 if p.parity == "odd" else 1.0) * (-1.0) ** order
         n = len(x) // 2 if x.ndim == 1 else 0
@@ -180,7 +182,7 @@ def _columns(p: WitnessProblem, x, order: int = 0, coeffs=None) -> np.ndarray:
         t = p.R2 * (2.0 * np.abs(x) - p.R1)
         sign = np.where(x < 0, mirror, 1.0)
     cols = atom_matrix(p.atoms, t, order, coeffs)
-    scale = sign * (2.0 * p.R2) ** order
+    scale = np.asarray(sign * (2.0 * p.R2) ** order)
     cols *= scale[..., None] if coeffs is None else scale
     if p.parity == "odd" and order % 2 == 0:
         cols[x == 0.0] = 0.0
@@ -248,14 +250,15 @@ def _sweep(x, g, start: float, step: float, n: int) -> tuple[np.ndarray, np.ndar
     xi_b = start + b step, b = 1 .. n, for g of shape (nodes, m).
 
     It is the one evaluator for uniform frequencies, the tail sweep, split
-    by fourier.phase_ladder at the nodes: frequency s + j, s = a B, has the
-    phase coarse[a] fine[j], and each of the A coarse rows, folded into g,
-    costs one GEMM with the B fine rows.
+    by fourier.phase_ladder at the nodes: frequency a B + b has the phase
+    coarse[a] fine[b], so each column g[:, k] gives all A x B sums in one
+    GEMM, (coarse * g[:, k]) @ fine.T, whose rows read in turn are the
+    frequencies in order.
     """
     coarse, fine = phase_ladder(x, start + step, step, n)
     out = np.empty((n, g.shape[1]), dtype=complex)
-    for s, row in zip(range(0, n, len(fine)), coarse):
-        out[s : s + len(fine)] = fine[: n - s] @ (row[:, None] * g)
+    for k in range(g.shape[1]):
+        out[:, k] = ((coarse * g[:, k]) @ fine.T).reshape(-1)[:n]
     return start + step * np.arange(1, n + 1), out
 
 
@@ -265,23 +268,28 @@ def assemble_constraints(p: WitnessProblem) -> tuple[np.ndarray, np.ndarray]:
     nodes of p's rule, from which the solve forms f w for the tail.
 
     The rows are the lambda entries with |point| <= R1, then the M entries
-    with |point| <= R2, each side in scheme order.  The lambda rows are one
-    _columns call per derivative order; the M rows are one product of their
-    real phase rows, _phases at |mu| in the part each entry carries, with
-    the weighted atom columns.  Under parity the rule covers x > 0 only, so
-    the sum is the whole transform's real part (even) or imaginary part
-    (odd): an entry that carries the other part is an exact 0.0 row, and
-    the row count stays n_Lambda(R1) + n_M(R2).
+    with |point| <= R2, each side in scheme order.  One _columns call on
+    the order-0 lambda points and the rule nodes together gives the order-0
+    lambda rows and, times w, the weighted columns; each other derivative
+    order of the lambda rows is one call more.  The M rows are one product
+    of their real phase rows, _phases at |mu| in the part each entry
+    carries, with the weighted atom columns.  Under parity the rule covers
+    x > 0 only, so the sum is the whole transform's real part (even) or
+    imaginary part (odd): an entry that carries the other part is an exact
+    0.0 row, and the row count stays n_Lambda(R1) + n_M(R2).
     """
     lam = p.scheme.lambda_nodes[np.abs(p.scheme.lambda_nodes["point"]) <= p.R1]
     lam_rows = np.empty((len(lam), len(p.atoms)))
-    for order in np.unique(lam["order"]).tolist():
+    x, w = p._rule
+    zero = lam["order"] == 0
+    lam_rows[zero], weighted = np.split(_columns(p, np.concatenate([lam["point"][zero], x])),
+                                        [np.count_nonzero(zero)])
+    weighted *= w[:, None]
+    for order in np.unique(lam["order"][~zero]).tolist():
         at = lam["order"] == order
         lam_rows[at] = _columns(p, lam["point"][at], order)
     m = p.scheme.m_nodes[np.abs(p.scheme.m_nodes["point"]) <= p.R2]
     real = (m["point"] > 0) | ((m["point"] == 0.0) & (m["order"] % 2 == 0))
-    x, w = p._rule
-    weighted = w[:, None] * _columns(p, x)
     live = np.full(len(m), True) if p.parity == "none" else real == (p.parity == "even")
     m_rows = np.zeros((len(m), len(p.atoms)))
     m_rows[live] = _phases(x, np.abs(m["point"][live]), m["order"][live], real[live]) @ weighted

@@ -109,6 +109,41 @@ def test_atom_matrix_coefficient_sum_matches_dense_product(order):
     assert atom_matrix(atoms, 16.75, order, coeffs) == 0.0
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_atom_matrix_any_point_order_is_the_ascending_evaluation_permuted():
+    # points that do not ascend are ordered by a stable argsort and each value
+    # written back to its point: bit for bit what the same points give in
+    # ascending order, permuted back, at every order and in both forms
+    rng = np.random.default_rng(11)
+    basis = _basis(D=6.06)  # the parity witness's D = 2 R1 R2 at R1 = 1.01, R2 = 3
+    atoms = [basis.atom(j, k) for j in range(len(basis.bells)) for k in range(3)]
+    coeffs = rng.standard_normal(len(atoms))
+    grid = np.linspace(-1.01, 1.01, (1 << 12) + 1)
+    assert not np.array_equal(grid, -grid[::-1])  # not its own mirror
+    shuffled = rng.permutation(np.linspace(-3.2, 3.2, 2001))
+    v_shaped = 3.0 * (2.0 * np.abs(grid) - 1.01)  # the witness's t under parity
+    repeated = rng.permutation(np.repeat(np.linspace(-3.0, 3.0, 41), 3))
+    with_nan = np.array([1.5, np.nan, -2.0, 0.25, np.nan, -0.5])
+    for x in (shuffled, v_shaped, repeated, with_nan):
+        assert not np.all(x[1:] >= x[:-1])
+        perm = np.argsort(x, kind="stable")
+        for order in range(3):
+            for c in (None, coeffs):
+                ascending = atom_matrix(atoms, x[perm], order, c)
+                want = np.empty_like(ascending)
+                want[perm] = ascending
+                got = atom_matrix(atoms, x, order, c)
+                assert np.array_equal(_bits(got), _bits(want))
+                assert np.all(got[np.isnan(x)] == 0.0)
+    for order in range(3):
+        for c in (None, coeffs):
+            assert np.array_equal(_bits(atom_matrix(atoms, -1.7, order, c)),
+                                  _bits(atom_matrix(atoms, [-1.7], order, c)[0]))
+
+
 @pytest.mark.parametrize("eta", [0.3, 0.5])
 def test_concentration_exponent_within_15_percent(eta):
     basis = _basis(D=32.0, eta=eta)
@@ -217,6 +252,17 @@ def test_inadmissible_atom_flagged_vacuous():
     rep = derivative_bound_check(basis.atom(j, 3), n=1, T1=0.0, T2=1.0,
                                  C=0.5, eta=0.3)
     assert not rep.admissible
+
+
+def test_derivative_bound_threshold_saturates_near_eta_one():
+    # at eta = 0.999 log(32)^(1 / (1 - eta)) overflows a float: the threshold
+    # saturates to inf and the atom is reported inadmissible, not raised on
+    atom = build_basis(whitney_decompose(32.0), 0.999).atom(5, 0)
+    rep = derivative_bound_check(atom, n=1, T1=0.0, T2=1.0, C=0.5, eta=0.999)
+    assert not rep.admissible
+    assert math.isfinite(rep.c_measured)
+    # at C = 0 the threshold is 0 however large the power
+    assert derivative_bound_check(atom, n=1, T1=0.0, T2=1.0, C=0.0, eta=0.999).admissible
 
 
 def test_derivative_bound_sweep_domain():

@@ -144,6 +144,30 @@ def test_audit_fitted_c_monotone_in_eps():
     assert cs[0] >= cs[1] >= cs[2]
 
 
+def test_large_eps_log_power_saturates():
+    # log^(2+eps) overflows a float at eps = 1000: it saturates to inf, as
+    # whitney._log_power does, so no RuntimeWarning escapes, the fitted
+    # constants of the overflowing points are 0 and their margins +inf
+    audit = audit_bound(rv_scheme(16), (1.0, 3.0), (1.0, 3.0), 0.1, 1000.0)
+    with np.errstate(over="ignore"):
+        saturated = np.isinf(np.log(4.0 * np.outer(audit.R1, audit.R2)) ** 1002.0)
+    assert saturated.any() and not saturated.all()
+    assert 0.0 <= audit.C_fit < 1e-200
+    assert math.isfinite(audit.min_slack)
+    rep = riemann_von_mangoldt_check(bundled_zeros(), (1.0, 50.0), eps=1000.0)
+    assert rep.C_min == 0.0
+    assert rep.passed
+    with np.errstate(over="ignore"):
+        saturated = np.isinf(np.log(rep.T) ** 1002.0)
+    assert saturated.any() and not saturated.all()
+    assert np.all(rep.margin[saturated] == math.inf)
+    # C = 0 carries no correction term, saturated or not: 0 inf is not nan
+    rep = riemann_von_mangoldt_check(bundled_zeros(), (1.0, 50.0), eps=1000.0, C=0.0)
+    small = riemann_von_mangoldt_check(bundled_zeros(), (1.0, 50.0), eps=0.1, C=0.0)
+    assert np.array_equal(rep.margin, small.margin)
+    assert np.all(np.isfinite(rep.margin))
+
+
 def test_zeta_scheme_examples():
     zeros = bundled_zeros()
     s = zeta_scheme(zeros, max_n=50)

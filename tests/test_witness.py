@@ -870,6 +870,29 @@ def test_columns_fold_every_order_and_form(parity, atom_points):
         assert np.array_equal(got.view(np.uint64), np.vstack([zero[order]] * 2).view(np.uint64))
 
 
+@pytest.mark.parametrize("parity", ["none", "even", "odd"])
+def test_assembly_takes_lambda_and_rule_nodes_in_one_atom_pass(parity, atom_points):
+    # the order-0 lambda nodes and the rule nodes share one atom_matrix call,
+    # each derivative order has its own, and the lambda rows and weighted
+    # columns are bit for bit those of the points evaluated apart
+    p = WitnessProblem(MIXED_ORDERS, 3.0, 3.0, 0.22 if parity == "none" else 0.10, 0.1, parity)
+    lam = _in_radius(p.scheme.lambda_nodes, p.R1)
+    x, w = p._rule
+    orders = np.unique(lam["order"]).tolist()
+    assert orders == [0, 1, 2]
+    atom_points.clear()
+    A, weighted = assemble_constraints(p)
+    assert len(atom_points) == len(orders)
+    assert atom_points[0] == np.count_nonzero(lam["order"] == 0) + len(x)
+    want = np.empty((len(lam), len(p.atoms)))
+    for order in orders:
+        at = lam["order"] == order
+        want[at] = witness._columns(p, lam["point"][at], order)
+    assert np.array_equal(A[: len(lam)].view(np.uint64), want.view(np.uint64))
+    want = w[:, None] * witness._columns(p, x)
+    assert np.array_equal(weighted.view(np.uint64), want.view(np.uint64))
+
+
 def test_even_sampled_witness_takes_trig_on_half_the_grid(count_trig, thin_even):
     # the mirrored grid shares every point of x < 0 with x > 0, so the folded
     # evaluation takes the trig of the half grid: count(x > 0) + count(x = 0)
