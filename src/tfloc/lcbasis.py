@@ -228,6 +228,13 @@ TAIL_START = 5.0
 CONCENTRATION_PAD = 16
 
 
+def _require_own_eta(atom: LocalCosineAtom, eta: float) -> None:
+    """An audit's eta is the atom's window eta: the decay class it fits and
+    the admissible threshold it reads are defined by that eta alone."""
+    if eta != atom.bell.profile.eta:
+        raise DomainError(f"eta = {eta} is not the atom's window eta {atom.bell.profile.eta}")
+
+
 def _stationary_prefactor_power(eta: float) -> float:
     # algebraic prefactor order of the edge transform, pinned rather than fit:
     # the double-precision window is too short to separate u^p from log u
@@ -251,8 +258,10 @@ def concentration_check(
     magnitudes, and every frequency at or below the lower of the envelope's
     and the bound's noise floors is dropped before any other arithmetic;
     no later selection can keep one, so the report does not change.  At the
-    default n this costs about 0.08 s, most of it the FFT.
+    default n this costs about 0.08 s, most of it the FFT.  eta must be the
+    atom's own window eta.
     """
+    _require_own_eta(atom, eta)
     f = atom.to_sampled(n)
     xi, mag = ft_abs_half(f, pad=CONCENTRATION_PAD)
     delta = atom.delta
@@ -320,10 +329,13 @@ def derivative_bound_check(
     Admissibility is whitney.admissible_count's rule at the threshold
     C log^(1/(1-eta)) D, inf where the power overflows (eta near 1) and C is
     not 0; the report is flagged vacuous (admissible=False) when the atom
-    index fails it.
+    index fails it.  eta must be the atom's own window eta.
     """
+    _require_own_eta(atom, eta)
     if xi_lo <= 0.5:
         raise DomainError("derivative bound sweep starts above |xi| = 1/2")
+    if n_xi < 1:
+        raise DomainError(f"derivative bound sweep needs n_xi >= 1 frequencies, got {n_xi}")
     D = atom.domain[1] - atom.domain[0]
     threshold = C * _log_power(D, 1.0 / (1.0 - eta)) if C else 0.0
     admissible = atom.k < admissible_count(atom.delta, threshold)

@@ -60,12 +60,15 @@ grid when its step allows it, and the support check on x > R1 alone.  The
 tail reads f w at the rule nodes from the solve, which forms it from the
 weighted atom columns of the assembly (rule_values).
 
-Coefficients are the normalized orthogonal projection of the all-ones
-vector onto the numerical null space (the right singular vectors whose
-singular values fall below NULL_REL_TOL * sigma_max), falling back to e_1,
-e_2, ... when that projection is negligible.  The choice depends on the null
-space alone, not on the basis LAPACK returns for it, so the witness does not
-change with the BLAS build or thread count.  When rows < |S| the null space
+The solve factors A = QR, keeping R alone, and takes sigma and V from the
+SVD of the triangular R, at most |S| x |S| for every shape of A, so no U of
+A is formed.  Coefficients are the
+normalized orthogonal projection of the all-ones vector onto the numerical
+null space (the right singular vectors of R whose singular values fall
+below NULL_REL_TOL * sigma_max), falling back to e_1, e_2, ... when that
+projection is negligible.  The choice depends on the null space alone, not
+on the basis LAPACK returns for it, so the witness does not change with the
+BLAS build or thread count.  When rows < |S| the null space
 is nonempty by pigeonhole and the residual is at the SVD noise level; when
 the numerical null space is empty the coefficients are the right singular
 vector of the smallest singular value and the result reports null_dim = 0:
@@ -84,7 +87,7 @@ import numpy as np
 from .errors import DegenerateInputError, DomainError
 from .fourier import MAX_FT_DERIVATIVE, SampledFunction, l2_norm, phase_ladder, sup_norm
 from .lcbasis import LocalCosineAtom, atom_matrix, build_basis
-from .schemes import InterpolationScheme, counting_function
+from .schemes import InterpolationScheme
 from .whitney import admissible_set, whitney_decompose
 
 NULL_REL_TOL = 1e-10
@@ -123,21 +126,35 @@ class WitnessProblem:
             raise DomainError(f"parity must be one of {PARITIES}")
 
     @property
+    def fold(self) -> int:
+        """1, or 2 under parity, where the rule covers x > 0 alone: the
+        factor of the rule weights, and the divisor of D and of 2 R2 in the
+        L2 target."""
+        return 1 if self.parity == "none" else 2
+
+    @property
+    def carried(self) -> tuple[bool, ...]:
+        """The parts (True: real) of a half-line sum that the transform has."""
+        return {"none": (True, False), "even": (True,), "odd": (False,)}[self.parity]
+
+    @property
     def D(self) -> float:
-        if self.parity == "none":
-            return 4.0 * self.R1 * self.R2
-        return 2.0 * self.R1 * self.R2
+        return 4.0 * self.R1 * self.R2 / self.fold
 
     @property
     def eta(self) -> float:
         return self.eps / (1.0 + self.eps)
 
+    @cached_property
+    def constraint_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lambda entries with |point| <= R1 and the M entries with
+        |point| <= R2, each side in scheme order: one constraint row each."""
+        return tuple(nodes[np.abs(nodes["point"]) <= R] for nodes, R in
+                     ((self.scheme.lambda_nodes, self.R1), (self.scheme.m_nodes, self.R2)))
+
     @property
     def constraint_count(self) -> int:
-        return int(
-            counting_function(self.scheme.lambda_nodes, self.R1)
-            + counting_function(self.scheme.m_nodes, self.R2)
-        )
+        return sum(map(len, self.constraint_entries))
 
     @cached_property
     def atoms(self) -> tuple[LocalCosineAtom, ...]:
@@ -218,10 +235,8 @@ def _transform_nodes(p: WitnessProblem) -> tuple[np.ndarray, np.ndarray]:
     g, gw = np.polynomial.legendre.leggauss(PANEL_NODES)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
     t = (mid[:, None] + half[:, None] * g).ravel()
-    w = (half[:, None] * gw).ravel() / (2.0 * p.R2)
-    if p.parity == "none":
-        return t / (2.0 * p.R2), w
-    return 0.5 * (t / p.R2 + p.R1), 2.0 * w
+    w = (half[:, None] * gw).ravel() / (2.0 * p.R2) * p.fold
+    return (t / (2.0 * p.R2) if p.parity == "none" else 0.5 * (t / p.R2 + p.R1)), w
 
 
 def _phases(x, mu, k, real) -> np.ndarray:
@@ -268,17 +283,18 @@ def assemble_constraints(p: WitnessProblem) -> tuple[np.ndarray, np.ndarray]:
     nodes of p's rule, from which the solve forms f w for the tail.
 
     The rows are the lambda entries with |point| <= R1, then the M entries
-    with |point| <= R2, each side in scheme order.  One _columns call on
-    the order-0 lambda points and the rule nodes together gives the order-0
-    lambda rows and, times w, the weighted columns; each other derivative
-    order of the lambda rows is one call more.  The M rows are one product
-    of their real phase rows, _phases at |mu| in the part each entry
-    carries, with the weighted atom columns.  Under parity the rule covers
-    x > 0 only, so the sum is the whole transform's real part (even) or
-    imaginary part (odd): an entry that carries the other part is an exact
-    0.0 row, and the row count stays n_Lambda(R1) + n_M(R2).
+    with |point| <= R2, each side in scheme order (p.constraint_entries).
+    One _columns call on the order-0 lambda points and the rule nodes
+    together gives the order-0 lambda rows and, times w, the weighted
+    columns; each other derivative order of the lambda rows is one call
+    more.  The M rows are one product of their real phase rows, _phases at
+    |mu| in the part each entry carries, with the weighted atom columns.
+    Under parity the rule covers x > 0 only, so the sum is the whole
+    transform's real part (even) or imaginary part (odd): an entry that
+    carries a part not in p.carried is an exact 0.0 row, and the row count
+    stays n_Lambda(R1) + n_M(R2).
     """
-    lam = p.scheme.lambda_nodes[np.abs(p.scheme.lambda_nodes["point"]) <= p.R1]
+    lam, m = p.constraint_entries
     lam_rows = np.empty((len(lam), len(p.atoms)))
     x, w = p._rule
     zero = lam["order"] == 0
@@ -288,9 +304,8 @@ def assemble_constraints(p: WitnessProblem) -> tuple[np.ndarray, np.ndarray]:
     for order in np.unique(lam["order"][~zero]).tolist():
         at = lam["order"] == order
         lam_rows[at] = _columns(p, lam["point"][at], order)
-    m = p.scheme.m_nodes[np.abs(p.scheme.m_nodes["point"]) <= p.R2]
     real = (m["point"] > 0) | ((m["point"] == 0.0) & (m["order"] % 2 == 0))
-    live = np.full(len(m), True) if p.parity == "none" else real == (p.parity == "even")
+    live = np.isin(real, p.carried)
     m_rows = np.zeros((len(m), len(p.atoms)))
     m_rows[live] = _phases(x, np.abs(m["point"][live]), m["order"][live], real[live]) @ weighted
     return np.vstack([lam_rows, m_rows]), weighted
@@ -313,9 +328,7 @@ class WitnessResult:
 
     @property
     def l2_target(self) -> float:
-        if self.problem.parity == "none":
-            return 1.0 / math.sqrt(2.0 * self.problem.R2)
-        return 1.0 / math.sqrt(self.problem.R2)
+        return 1.0 / math.sqrt(2.0 * self.problem.R2 / self.problem.fold)
 
     @property
     def sup_floor(self) -> float:
@@ -343,21 +356,22 @@ def select_null_vector(null_basis: np.ndarray) -> np.ndarray:
 def solve_witness(p: WitnessProblem) -> WitnessResult:
     """Unit-norm witness coefficients for p's constraints, plus audits.
 
-    With a nonempty numerical null space the coefficients are
-    select_null_vector of it; with an empty one they are the right singular
-    vector of the smallest singular value, the least-residual unit vector.
-    A problem with no constraint rows is the same rule: V = I, so the
-    coefficients are ones / sqrt(|S|).  The sign makes the leading entry
-    above 1e-14 positive.  The witness is sampled at DEFAULT_GRID + 1 points
-    of [-R1, R1] (_columns), and f w at the rule nodes, which the tail
-    certificate reads, is the weighted atom columns of the assembly times
-    the coefficients.
+    sigma and V are the singular values and right singular vectors of R,
+    the triangular factor of A = QR, for every shape of A: R is
+    min(rows, |S|) x |S|, so its SVD is small however tall A is, and a short
+    or empty A still gets the full V that spans R^|S|.  With a nonempty
+    numerical null space the coefficients are select_null_vector of it; with
+    an empty one they are the right singular vector of the smallest singular
+    value, the least-residual unit vector.  A problem with no constraint rows
+    is the same rule: V = I, so the coefficients are ones / sqrt(|S|).  The
+    sign makes the leading entry above 1e-14 positive.  The witness is
+    sampled at DEFAULT_GRID + 1 points of [-R1, R1] (_columns), and f w at
+    the rule nodes, which the tail certificate reads, is the weighted atom
+    columns of the assembly times the coefficients.
     """
     A, weighted = assemble_constraints(p)
     m = len(p.atoms)
-    # U is never read: the thin SVD keeps it at min(rows, m)^2, while a
-    # short A still gets the full V that spans R^m
-    _, sv, Vt = np.linalg.svd(A, full_matrices=A.shape[0] < m)
+    sv, Vt = np.linalg.svd(np.linalg.qr(A, mode="r"))[1:]
     smax = float(np.max(sv, initial=0.0))
     smin = float(np.min(sv, initial=smax))
     rank = int(np.sum(sv > NULL_REL_TOL * smax))
@@ -387,6 +401,14 @@ def solve_witness(p: WitnessProblem) -> WitnessResult:
     )
 
 
+def _magnitude(p: WitnessProblem, part) -> np.ndarray:
+    """|F| from a half-line sum whose real and imaginary parts are
+    part(True) and part(False): the hypot of the parts p carries, the other
+    taken as 0, not as its rounding, and not evaluated."""
+    re, im = (part(real) if real in p.carried else 0.0 for real in (True, False))
+    return np.hypot(re, im)
+
+
 @dataclass(frozen=True)
 class TailReport:
     xi: np.ndarray
@@ -402,8 +424,8 @@ def tail_certificate(res: WitnessResult, n_xi: int = 400) -> TailReport:
     order through the constraint rows' _phases, XI_BLOCK nodes per product.
     F f^(k) is integrated on the rule of the constraint rows, from the
     witness's own f w at its nodes (res.rule_values), so no atom is
-    evaluated again.  The magnitude is the modulus of the sum; under parity,
-    where the rule covers x > 0 alone, it is |Re| of the sum (even) or
+    evaluated again.  Every magnitude is _magnitude of the sum: its modulus,
+    and under parity, where the rule covers x > 0 alone, |Re| (even) or
     |Im| (odd), the only part the transform has.  f is real, so
     |F f^(k)(-xi)| = |F f^(k)(xi)| and the sweep covers xi > 0 only.
     """
@@ -418,17 +440,13 @@ def tail_certificate(res: WitnessResult, n_xi: int = 400) -> TailReport:
     x, f = p._rule[0], res.rule_values
     moments = f[:, None] * (-2j * np.pi * x[:, None]) ** np.arange(n_orders)
     xi, sweep = _sweep(x, moments, p.R2, 3.0 * p.R2 / n_xi, n_xi)
-    # under parity the transform has one part; the other is 0, not its rounding
-    sweep = {"none": sweep, "even": sweep.real, "odd": sweep.imag}[p.parity]
-    maxima = tuple((k, float(np.max(np.abs(sweep[:, k])))) for k in range(n_orders))
-    carried = {"none": (True, False), "even": (True,), "odd": (False,)}[p.parity]
+    mag = _magnitude(p, lambda real: sweep.real if real else sweep.imag)
+    maxima = tuple((k, float(np.max(mag[:, k]))) for k in range(n_orders))
     nodes = p.scheme.m_nodes[np.abs(p.scheme.m_nodes["point"]) > p.R2]
     total = 0.0
     for s in range(0, len(nodes), XI_BLOCK):
         block = nodes[s : s + XI_BLOCK]
-        re, im = (_phases(x, block["point"], block["order"], real) @ f if real in carried else 0.0
-                  for real in (True, False))
-        at = np.hypot(re, im)
+        at = _magnitude(p, lambda real: _phases(x, block["point"], block["order"], real) @ f)
         # a block sums left to right: cumsum adds in order, np.sum pairwise
         total += np.cumsum(at * np.abs(block["point"]) ** p.scheme.U)[-1]
     return TailReport(xi=xi, max_by_order=maxima, weighted_sum=float(total))

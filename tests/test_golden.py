@@ -33,6 +33,10 @@ CASES = {
     "witness_even.json": WITNESS + ["--C", "0.10", "--parity", "even"],
     "whitney.csv": ["whitney", "--D", "36", "--C", "0.22", "--eps", "0.1"],
     "zeta.csv": ["zeta", "--T-max", "236", "--eps", "0.1", "--C", "10"],
+    # the README zeta witness: 455,205 rows against 22 atoms, no null space
+    "witness_zeta.json": ["witness", "--scheme", "zeta", "--R1", "1.01", "--R2", "6",
+                          "--C", "0.22", "--eps", "0.1", "--thin", "0.3", "--seed", "1",
+                          "--json"],
     "prolate.csv": ["prolate", "--W", "2", "--T", "2"],
 }
 BOUND = ["bound", "--scheme", "rv", "--R1-max", "10", "--R2-max", "10",

@@ -272,6 +272,23 @@ def test_derivative_bound_sweep_domain():
                                xi_lo=0.4)
 
 
+def _derivative_bound(atom, **kwargs):
+    return derivative_bound_check(atom, n=1, T1=0.0, T2=1.0, C=0.5, **kwargs)
+
+
+@pytest.mark.parametrize("audit, kwargs", [
+    *((audit, {"eta": eta}) for audit in (_derivative_bound, concentration_check)
+      for eta in (1.0, math.nan, 1.5, -0.5, 0.31, 0.0, 0.5)),
+    (_derivative_bound, {"eta": 0.3, "n_xi": 0}),
+])
+def test_audits_reject_foreign_eta_and_empty_sweep(audit, kwargs):
+    # the atom's window has eta = 0.3: any other eta, in (0, 1) or not, names
+    # a decay class and a threshold that are not this atom's
+    atom = _basis().atom(5, 0)
+    with pytest.raises(DomainError):
+        audit(atom, **kwargs)
+
+
 def test_lk_ratio_of_atoms_and_dilation_invariance():
     basis = _basis()
     for key in ((4, 0), (5, 2)):

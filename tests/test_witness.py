@@ -17,7 +17,8 @@ from scipy.integrate import quad
 from tfloc.errors import DegenerateInputError, DomainError
 from tfloc.fourier import MAX_FT_DERIVATIVE, ft_at
 from tfloc.lcbasis import build_basis
-from tfloc.schemes import NODE, InterpolationScheme, rv_scheme
+from tfloc.schemes import (NODE, InterpolationScheme, bundled_zeros, counting_function,
+                           rv_scheme, zeta_scheme)
 from tfloc.whitney import whitney_decompose
 from tfloc.windows import SHARPNESS
 import tfloc
@@ -317,6 +318,48 @@ def test_tall_solve_never_forms_u():
         tracemalloc.stop()
     assert r.null_dim == 0
     assert peak < 8 * rows**2
+
+
+# every node beyond both radii, so A has no rows and V = I: the witness is
+# ones / sqrt(|S|)
+BEYOND = InterpolationScheme([(5.0, 0), (-5.0, 0)], [(5.0, 0), (-5.0, 0)], L=2.0)
+
+
+@pytest.mark.parametrize("scheme, C, parity, shape", [
+    (BEYOND, 0.22, "none", (0, 34)),
+    (THINNED, 0.22, "none", (30, 34)),
+    (rv_scheme(10), 0.22, "none", (38, 34)),
+    (THINNED, 0.10, "even", (30, 17)),
+])
+def test_solve_matches_dense_svd(scheme, C, parity, shape):
+    # the SVD of the R factor against the dense SVD of A itself, under the
+    # same rank and null-vector rule: zero, short, tall and parity-folded A
+    p = WitnessProblem(scheme, 3.0, 3.0, C, 0.1, parity)
+    A = assemble_constraints(p)[0]
+    assert A.shape == shape
+    _, sv, Vt = np.linalg.svd(A)
+    smax = float(np.max(sv, initial=0.0))
+    rank = int(np.sum(sv > NULL_REL_TOL * smax))
+    null_dim = shape[1] - rank
+    want = _leading_positive(select_null_vector(Vt[rank:]) if null_dim else Vt[-1])
+    r = solve_witness(p)
+    assert r.null_dim == null_dim
+    assert abs(r.sigma_max - smax) <= 1e-13 * max(smax, 1.0)
+    assert np.max(np.abs(r.coefficients - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("scheme, R1, R2", [
+    (SCHEME, 3.0, 3.0),
+    (zeta_scheme(bundled_zeros(), 1000), 1.01, 26.0),
+    (rv_scheme(12, include_derivative_nodes=True), 3.0, 3.0),
+    # entries exactly at |point| = R1 = 2 and at |point| = R2 = 3
+    (InterpolationScheme([(0.0, 0), (2.0, 0), (-2.0, 0), (2.5, 0), (-2.5, 0)],
+                         [(0.0, 0), (3.0, 0), (-3.0, 0), (3.5, 0), (-3.5, 0)], L=2.0), 2.0, 3.0),
+])
+def test_constraint_count_is_counting_function(scheme, R1, R2):
+    p = WitnessProblem(scheme, R1, R2, 0.22, 0.1)
+    want = counting_function(scheme.lambda_nodes, R1) + counting_function(scheme.m_nodes, R2)
+    assert p.constraint_count == len(assemble_constraints(p)[0]) == want
 
 
 def test_tail_certificate(thin_none, full_none):
