@@ -5,15 +5,17 @@ list, data rows, and a summary mapping.  CSV mode prints `#` comment lines
 around the rows (config above, summary below); `--json` emits one object
 matching data/report.schema.json instead.  All floats are printed with 12
 significant digits, and a fixed config yields byte-identical output.  Each
-subcommand accepts only the options it reads: --json, --output and
---threads everywhere, and a seed only where a step is randomized (witness
---seed, the --thin orbit choice).
+subcommand accepts only the options it reads: --json and --output
+everywhere, and a seed only where a step is randomized (witness --seed, the
+--thin orbit choice).
 
 Exit codes: 0 success, 1 usage or input error (a report too large to
-allocate included), 2 a mathematical property check failed.  Heavy imports happen inside the handlers so that --threads
-can cap the BLAS pool before the first numpy import.  `witness` runs at one
-BLAS thread whatever --threads says: its products and SVD round differently
-at each thread count, and the report must not.
+allocate included), 2 a mathematical property check failed.
+
+Every command runs at one BLAS thread: products, eigensolves and SVDs round
+differently at each thread count, and no report may.  `run` sets the thread
+variables to 1 before any handler imports numpy, so heavy imports stay
+inside the handlers.
 """
 
 from __future__ import annotations
@@ -408,9 +410,6 @@ def _build_parser() -> _Parser:
                         help="emit a JSON report instead of CSV")
     common.add_argument("--output", metavar="PATH",
                         help="write the report to PATH instead of stdout")
-    common.add_argument("--threads", type=int,
-                        help="cap BLAS worker threads (witness always runs at 1, "
-                             "so that its report does not depend on the count)")
 
     p = _Parser(prog="tfloc",
                 description="verification reports for the tfloc package")
@@ -481,21 +480,9 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _apply_threads(threads) -> None:
-    if threads is None:
-        return
-    if threads < 1:
-        raise InputError("thread count must be a positive integer")
-    for var in THREAD_ENV_VARS:
-        os.environ[var] = str(threads)
-
-
 def run(args) -> int:
-    _apply_threads(args.threads)
-    if args.command == "witness":
-        # the witness's GEMMs and SVD round differently at each BLAS thread
-        # count, so its report is computed at one thread whatever --threads says
-        _apply_threads(1)
+    for var in THREAD_ENV_VARS:
+        os.environ[var] = "1"
     report, status = _HANDLERS[args.command](args)
     _emit(report, args)
     return status

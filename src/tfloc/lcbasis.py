@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError
+from .errors import DegenerateInputError, DomainError, ResolutionError
 from .fitting import ENVELOPE_FLOOR, REL_FLOOR, DecayFit, envelope_points, fit_decay
 from .fourier import DEFAULT_GRID, SampledFunction, ft_abs_half, ft_at, trapezoid_weights
 from .whitney import WhitneyDecomposition, _log_power, admissible_count
@@ -235,6 +235,17 @@ def _require_own_eta(atom: LocalCosineAtom, eta: float) -> None:
         raise DomainError(f"eta = {eta} is not the atom's window eta {atom.bell.profile.eta}")
 
 
+def _require_below_nyquist(atom: LocalCosineAtom, xi: float, n: int) -> None:
+    """An audit frequency xi must lie below n / (2 D), the Nyquist frequency
+    of the atom sampled at n intervals over its domain of length D: above
+    it the samples alias and the audit measures another function."""
+    nyquist = n / (2.0 * (atom.domain[1] - atom.domain[0]))
+    if xi >= nyquist:
+        raise ResolutionError(
+            f"frequency {xi:g} is at or above the Nyquist frequency {nyquist:g} "
+            f"of {n} grid intervals")
+
+
 def _stationary_prefactor_power(eta: float) -> float:
     # algebraic prefactor order of the edge transform, pinned rather than fit:
     # the double-precision window is too short to separate u^p from log u
@@ -259,9 +270,11 @@ def concentration_check(
     and the bound's noise floors is dropped before any other arithmetic;
     no later selection can keep one, so the report does not change.  At the
     default n this costs about 0.08 s, most of it the FFT.  eta must be the
-    atom's own window eta.
+    atom's own window eta, and xi_jk must lie below the grid's Nyquist
+    frequency n / (2 D).
     """
     _require_own_eta(atom, eta)
+    _require_below_nyquist(atom, atom.xi, n)
     f = atom.to_sampled(n)
     xi, mag = ft_abs_half(f, pad=CONCENTRATION_PAD)
     delta = atom.delta
@@ -329,13 +342,15 @@ def derivative_bound_check(
     Admissibility is whitney.admissible_count's rule at the threshold
     C log^(1/(1-eta)) D, inf where the power overflows (eta near 1) and C is
     not 0; the report is flagged vacuous (admissible=False) when the atom
-    index fails it.  eta must be the atom's own window eta.
+    index fails it.  eta must be the atom's own window eta, and xi_hi must
+    lie below the Nyquist frequency grid_n / (2 D) of the sampled atom.
     """
     _require_own_eta(atom, eta)
     if xi_lo <= 0.5:
         raise DomainError("derivative bound sweep starts above |xi| = 1/2")
     if n_xi < 1:
         raise DomainError(f"derivative bound sweep needs n_xi >= 1 frequencies, got {n_xi}")
+    _require_below_nyquist(atom, xi_hi, grid_n)
     D = atom.domain[1] - atom.domain[0]
     threshold = C * _log_power(D, 1.0 / (1.0 - eta)) if C else 0.0
     admissible = atom.k < admissible_count(atom.delta, threshold)

@@ -115,9 +115,11 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_options_no_command_reads_exit_1(capsys):
-    # --seed belongs to witness alone, and decay fit has no --xi-max
+    # --seed belongs to witness alone, decay fit has no --xi-max, and the
+    # thread count is no option: every command runs at one BLAS thread
     unread = [
         ["whitney", "--D", "8", "--seed", "3"],
+        ["whitney", "--D", "4", "--threads", "2"],
         ["decay", "fit", "--D", "32", "--eta", "0.3", "--j", "5", "--k", "0",
          "--xi-max", "5"],
     ]
@@ -259,32 +261,15 @@ def test_zeta_pass_reports_margin(capsys):
 
 def test_thread_cap_sets_env(tmp_path, monkeypatch):
     for var in THREAD_ENV_VARS:
-        monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv(var, "2")
     out = tmp_path / "t.csv"
-    assert main(["whitney", "--D", "4", "--threads", "2",
-                 "--output", str(out)]) == 0
-    assert all(os.environ[var] == "2" for var in THREAD_ENV_VARS)
-
-
-def test_bad_thread_counts_exit_1(capsys):
-    assert main(["whitney", "--D", "4", "--threads", "0"]) == 1
-    capsys.readouterr()
-
-
-def test_witness_report_independent_of_threads_option():
-    # the README zeta witness has no null space: its coefficients are the
-    # last right singular vector, whose last bits follow the BLAS thread
-    # count, and sup_norm's refinement magnifies them into sup_x
-    argv = ["witness", "--scheme", "zeta", "--R1", "1.01", "--R2", "6", "--C", "0.22",
-            "--eps", "0.1", "--thin", "0.3", "--seed", "1", "--json"]
-    reports = [subprocess.run([sys.executable, "-m", "tfloc.cli", *argv, "--threads", t],
-                              env=_cli_env(), capture_output=True, check=True).stdout
-               for t in ("1", "2")]
-    assert reports[0] == reports[1]
+    assert main(["whitney", "--D", "4", "--output", str(out)]) == 0
+    assert all(os.environ[var] == "1" for var in THREAD_ENV_VARS)
 
 
 def test_import_loads_no_numpy():
-    # --threads must set the BLAS thread variables before numpy first loads
+    # the CLI's one-thread pin must set the BLAS thread variables before
+    # numpy first loads
     code = "import sys, tfloc, tfloc.cli; print('numpy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
                           capture_output=True, text=True, check=True)

@@ -1,10 +1,11 @@
 """Golden CLI reports: README commands must print byte-identical reports.
 
-Each file in tests/golden/ is the stdout of `python -m tfloc.cli ARGS
---threads 1` for the ARGS listed below, and every run must leave stderr empty
-with RuntimeWarnings raised as errors.  The witness reports must also come
-out byte-identical at `--threads 2`: their noise-level fields (`residual`,
-`sigma_min`) print clamped at a floor relative to `sigma_max`.  A change
+Each file in tests/golden/ is the stdout of `python -m tfloc.cli ARGS` for
+the ARGS listed below, run with every BLAS thread variable set to 1, and
+every run must leave stderr empty with RuntimeWarnings raised as errors.
+The CLI runs each command at one BLAS thread, so the reports that call BLAS
+must also come out byte-identical with those variables set to 2, and so
+must a `prolate` spectrum large enough to round per thread count.  A change
 that moves any byte must say why and regenerate the file with that same
 command.  The README `bound` report is 13.9 MB, so only its SHA-256 is kept.
 """
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import tfloc
+from tfloc.cli import THREAD_ENV_VARS
 
 GOLDEN = Path(__file__).parent / "golden"
 WITNESS = ["witness", "--scheme", "rv", "--R1", "3", "--R2", "3", "--eps", "0.1",
@@ -45,14 +47,13 @@ BOUND_SHA256 = "617811bc712fbe2a99da150db72f89395e67205b1d5c3dbe495735d6f6ed3d79
 
 
 def _report(argv, threads=1) -> bytes:
-    env = dict(os.environ)
+    env = dict(os.environ, **dict.fromkeys(THREAD_ENV_VARS, str(threads)))
     src = str(Path(tfloc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     # -W error turns a RuntimeWarning inside the CLI run into a failure;
     # pytest's own filterwarnings does not reach the subprocess
     done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "tfloc.cli",
-                           *argv, "--threads", str(threads)],
-                          env=env, capture_output=True, check=True)
+                           *argv], env=env, capture_output=True, check=True)
     assert done.stderr == b""
     return done.stdout
 
@@ -62,9 +63,18 @@ def test_report_matches_golden(name):
     assert _report(CASES[name]) == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("name", ["witness_even.json", "witness_none.json"])
-def test_witness_report_matches_golden_at_two_threads(name):
+@pytest.mark.parametrize("name", ["basis_check.csv", "decay_fit.csv", "prolate.csv",
+                                  "witness_even.json", "witness_none.json",
+                                  "witness_zeta.json"])
+def test_report_matches_golden_at_two_threads(name):
     assert _report(CASES[name], threads=2) == (GOLDEN / name).read_bytes()
+
+
+def test_prolate_report_independent_of_threads():
+    # at 4WT = 576 the eigensolve rounds per BLAS thread count: unpinned, 143
+    # of its 1,889 rows differed between one and two threads
+    argv = ["prolate", "--W", "12", "--T", "12"]
+    assert _report(argv, threads=1) == _report(argv, threads=2)
 
 
 def test_bound_report_matches_sha256():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tfloc.errors import DomainError, UnsupportedOrderError
+from tfloc.errors import DomainError, ResolutionError, UnsupportedOrderError
 from tfloc.fitting import ENVELOPE_FLOOR, REL_FLOOR, envelope_points, fit_decay
 from tfloc.fourier import SampledFunction, ft_abs_half, ft_at, ft_grid, l2_norm
 from tfloc.lcbasis import (CONCENTRATION_PAD, TAIL_START, _stationary_prefactor_power,
@@ -287,6 +287,20 @@ def test_audits_reject_foreign_eta_and_empty_sweep(audit, kwargs):
     atom = _basis().atom(5, 0)
     with pytest.raises(DomainError):
         audit(atom, **kwargs)
+
+
+@pytest.mark.parametrize("k, audit, kwargs", [
+    (10000, concentration_check, {}),
+    (0, _derivative_bound, {"xi_hi": 3000.0}),
+    (0, _derivative_bound, {"grid_n": 6400}),
+], ids=["decay-xi-1250", "sweep-to-3000", "sweep-to-nyquist"])
+def test_audits_refuse_frequencies_above_nyquist(k, audit, kwargs):
+    # 2^16 intervals over D = 32 resolve xi < 1024, and 6400 intervals xi <
+    # 100; above that the sampled atom aliases (xi_jk of atom (5, 10000) is
+    # 1250, and a sweep to 3000 measures c 82.1 where one to 1000 reads 5.33)
+    atom = _basis().atom(5, k)
+    with pytest.raises(ResolutionError, match="Nyquist"):
+        audit(atom, eta=0.3, **kwargs)
 
 
 def test_lk_ratio_of_atoms_and_dilation_invariance():
