@@ -72,28 +72,136 @@ def _json_rows(report: dict) -> list:
             for row in zip(itertools.repeat(xv, n), ys, zs[i * n:(i + 1) * n])]
 
 
+@functools.cache
+def _g12_tables():
+    """The lookup tables of `_g12_fields`, built on the first grid report.
+
+    words: the 4-byte strings "0000".."9999", then ".000"..".999", as uint32;
+    trailing: the count of trailing "0" bytes of each word;
+    flip: for each (X, fraction digits nF, sign bit), the 32 bytes to XOR
+    onto a value's layout: every "0" before its first digit or after its
+    last fraction digit becomes NUL, the byte before its first digit becomes
+    "-" if it is negative, and the "." becomes NUL if nF = 0.
+    """
+    import numpy as np
+
+    words = [b"%04d" % k for k in range(10000)] + [b".%03d" % k for k in range(1000)]
+    trailing = np.array([len(w) - len(w.rstrip(b"0")) for w in words], np.intp)
+    flip = np.zeros((16, 16, 2, 32), np.uint8)
+    for X in range(-4, 12):
+        first = 15 - max(X, 0)   # the byte of the first digit
+        for nF in range(16):
+            row = flip[X + 4, nF]
+            row[:, :first] = ord("0")
+            row[1, first - 1] = ord("0") ^ ord("-")
+            row[:, 17 + nF:] = ord("0")
+            if nF == 0:
+                row[:, 16] = ord(".")
+    return (np.array(words).view(np.uint32), trailing, flip.view(np.uint32).reshape(512, 8),
+            10 ** np.arange(16))
+
+
+def _digit_groups(val, count: int) -> list:
+    """The last `count` 4-digit groups of the integers val, most significant first."""
+    groups = []
+    for k in range(count - 1, 0, -1):
+        q = val // 10 ** (4 * k)
+        groups.append(q)
+        val = val - q * 10 ** (4 * k)
+    return groups + [val]
+
+
+def _g12_fields(v):
+    """The text "%.12g" % x of each float x of the 1-D array v, as the rows
+    of a uint8 array: row i holds the bytes of v[i] in order, with NUL bytes
+    before, between and after them.  The rule is _csv_chunks's.
+    """
+    import numpy as np
+
+    words, trailing, flip, pow10 = _g12_tables()
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # fmin and fmax, unlike clip, take nan into [-4, 11] too
+        X = np.fmax(np.fmin(np.floor(np.log10(a)), 11), -4).astype(np.intp)
+        s = a * pow10[11 - X]   # 10^k, k <= 15, is exact as a float
+        m = np.rint(s)
+        fast = (np.abs(s - m) < 0.499) & (m > 1e11) & (m < 1e12)
+    X = np.where(fast, X, -4)   # other values: I = F = 0 and the narrowest field
+    # the rounded |v| is I.F, F its 15 fraction digits; the layout is 32
+    # bytes: I zero-padded to 16 digits, ".", F's 15 digits
+    I, F = np.divmod(np.where(fast, m, 0).astype(np.int64), pow10[11 - X])
+    F *= pow10[X + 4]
+    fraction = _digit_groups(F, 4)
+    fraction[0] += 10000   # F < 10^15: its first word is ".ddd"
+    t = trailing.take(fraction[0])
+    for g in fraction[1:]:
+        t = np.where(g == 0, t + 4, trailing.take(g))
+    nF = 15 - t
+    # the bytes [lo, hi) hold every field of the block: from the sign byte
+    # of the value with the most integer digits to the last fraction digit
+    # of the value with the most fraction digits
+    lo = 14 - X.max(initial=0)
+    hi = 17 + nF.max(initial=0)
+    w0, w1 = lo // 4, -(-hi // 4)
+    groups = _digit_groups(I, 4 - w0) + fraction[:w1 - 4]
+    w = np.empty((len(v), w1 - w0), np.uint32)
+    for c, g in enumerate(groups):
+        w[:, c] = words.take(g)
+    w ^= flip[:, w0:w1].take(((X + 4) * 16 + nF) * 2 + np.signbit(v), axis=0)
+    out = w.view(np.uint8)[:, lo - 4 * w0:hi - 4 * w0]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array([b"%.12g" % x for x in v[slow].tolist()])
+        if text.itemsize > out.shape[1]:
+            out = np.pad(out, ((0, 0), (0, text.itemsize - out.shape[1])))
+        out[slow] = 0
+        out[slow, :text.itemsize] = text.view(np.uint8).reshape(len(slow), -1)
+    return out
+
+
 def _csv_chunks(report: dict):
     """The CSV report as a sequence of strings: the config lines and column
     header, the rows, then the summary lines.
 
-    A `grid` report yields one chunk per x value, formatted by one `%` call:
-    the row template carries every y value already formatted, and its
-    arguments interleave the row's "x," head with z[i].  "%.12g" % v is
-    _fmt's float rule, so the bytes are those of formatting each value alone.
+    A `grid` report yields one chunk per block of x values, about 2^13 rows
+    (one x value at least), so a block's temporaries stay under 2 MiB.  Each
+    value becomes a field of bytes with NULs among them (`_g12_fields`); a
+    block's lines are laid out as x field and ",", y field and ",", z field
+    and newline in one uint8 array, and dropping its NUL bytes gives the
+    chunk.
+
+    A field holds the bytes of "%.12g" % v, _fmt's float rule.  For
+    X = floor(log10 |v|) in [-4, 11] that is fixed notation with the
+    12-digit significand m = round(|v| 10^(11 - X)), trailing zeros
+    stripped.  s = |v| * float(10**(11 - X)) has exact factors and one
+    rounding, so below 10^12 < 2^40 it is within 2^-14 of |v| 10^(11 - X).
+    Where |s - rint(s)| < 0.499 and 10^11 < rint(s) < 10^12, rint(s) is
+    therefore m, and X is the exponent of the rounded value too: its digits
+    come from tables.  Every other value (+-0, inf, nan, the exponent forms,
+    ties and near-ties, and m at either end of the decade) is formatted by
+    "%.12g" % v itself.
     """
     head = [f"# tfloc {report['command']}"]
     head += [f"# {k}={_fmt(report['config'][k])}" for k in sorted(report["config"])]
     head.append(",".join(report["columns"]))
     yield "\n".join(head) + "\n"
     if "grid" in report:
+        import numpy as np
+
         x, y, z = report["grid"]
-        ys = y.tolist()
-        template = "".join("%s" + ("%.12g" % v) + ",%.12g\n" for v in ys)
-        args = [None] * (2 * len(ys))
-        for xv, zrow in zip(x.tolist(), z):
-            args[0::2] = itertools.repeat("%.12g," % xv, len(ys))
-            args[1::2] = zrow.tolist()
-            yield template % tuple(args)
+        xs, ys = (np.pad(_g12_fields(a), ((0, 0), (0, 1)), constant_values=ord(","))
+                  for a in (x, y))
+        start = xs.shape[1] + ys.shape[1]   # the z field's column
+        rows = max(1, 2 ** 13 // len(ys))
+        for i in range(0, len(xs), rows):
+            xi = xs[i:i + rows, None]
+            zs = _g12_fields(z[i:i + rows].ravel()).reshape(len(xi), len(ys), -1)
+            line = np.empty((len(xi), len(ys), start + zs.shape[2] + 1), np.uint8)
+            line[..., :xs.shape[1]] = xi
+            line[..., xs.shape[1]:start] = ys
+            line[..., start:-1] = zs
+            line[..., -1] = ord("\n")
+            yield line.tobytes().translate(None, b"\0").decode("ascii")
     else:
         yield "".join(",".join(map(_fmt, row)) + "\n" for row in report["rows"])
     yield "".join(f"# {k}={_fmt(report['summary'][k])}\n"

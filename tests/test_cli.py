@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import tfloc
-from tfloc.cli import THREAD_ENV_VARS, _build_parser, _emit, _fmt, main
+from tfloc.cli import THREAD_ENV_VARS, _build_parser, _emit, _fmt, _g12_fields, main
+from tfloc.schemes import audit_bound, rv_scheme
 
 WHITNEY_D8 = """\
 # tfloc whitney
@@ -291,19 +292,64 @@ def _reference_grid_csv(report):
 
 SPECIAL_Z = [-0.0, 1e-05, 3.5e-14, 1e16, 123456789012.5, 2.0, -7.0, 0.1 + 0.2]
 
+# every power of ten from 1e-6 to 1e13 with both float neighbours, ties at
+# 12 digits, values with no fixed-notation form, and near-ties: v * 10^k
+# rounds to an odd N + 1/2 while the exact product is below it, so %.12g
+# ends in N where rint, rounding half to even, would give N + 1
+G12_EDGES = [v for k in range(-6, 14) for p in [float(f"1e{k}")]
+             for v in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))]
+G12_EDGES += [9.99999999999e-05, 12345678901.25, 999999999999.5,
+              np.inf, -np.inf, np.nan, 5e-324, 5971.895478455, 0.02039809641435]
+# every fixed-notation layout: 1 to 12 significant digits, none of them a
+# trailing zero, at each exponent from -4 to 11, of both signs
+G12_EDGES += [sign * float(f"{'234567891234'[:k]}e{X - k + 1}")
+              for X in range(-4, 12) for k in range(1, 13) for sign in (1, -1)]
 
-@pytest.mark.parametrize("shape", [(3, 8), (8, 3), (1, 8), (8, 1), (1, 1)])
+
+def _g12_values(rng, n):
+    """n floats of both signs from 1e-7 to 1e14: half with 12 random digits,
+    half short decimals such as 12.345."""
+    sign = rng.choice([-1.0, 1.0], n)
+    long = 10.0 ** rng.uniform(-7, 14, n)
+    short = rng.integers(1, 10 ** 5, n) / 10.0 ** rng.integers(-9, 12, n)
+    return sign * np.where(rng.random(n) < 0.5, long, short)
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (8, 3), (1, 8), (8, 1), (1, 1),
+                                   (37, 5003), (1, 40000)])
 def test_grid_csv_matches_per_value_format(shape, tmp_path):
+    # the wide shapes split into blocks of rows that do not divide the grid,
+    # and (1, 40000) has one row wider than a block
     rng = np.random.default_rng(sum(shape))
-    x = np.array([1.0, 1.25, 3.0, -0.0, 1e-05, 2.5e13, 7.0, 1 / 3])[:shape[0]]
-    y = np.array([2.0, 123456789012.5, -0.0, 1e16, 0.5, 1e-300, 9.75, 2 / 3])[:shape[1]]
-    z = rng.permutation(np.resize(SPECIAL_Z, shape[0] * shape[1])).reshape(shape)
+    heads = ([1.0, 1.25, 3.0, -0.0, 1e-05, 2.5e13, 7.0, 1 / 3],
+             [2.0, 123456789012.5, -0.0, 1e16, 0.5, 1e-300, 9.75, 2 / 3])
+    x, y = (np.array([*head, *G12_EDGES, *_g12_values(rng, size)][:size])
+            for head, size in zip(heads, shape))
+    n = shape[0] * shape[1]
+    z = rng.permutation(np.resize([*SPECIAL_Z, *G12_EDGES, *_g12_values(rng, n)], n))
+    z = z.reshape(shape)
     report = {"command": "bound", "config": {"step": 0.25, "scheme": "rv"},
               "columns": ["R1", "R2", "slack"], "grid": (x, y, z),
               "summary": {"min_slack": -0.0, "argmin_R1": 1.0, "C_fit": 1e-05}}
     out = tmp_path / "grid.csv"
     _emit(report, argparse.Namespace(json=False, output=str(out)))
-    assert out.read_text() == _reference_grid_csv(report)
+    got, want = out.read_text(), _reference_grid_csv(report)
+    # the first differing lines, not a diff of a 4 MB text
+    assert [(g, w) for g, w in zip(got.split("\n"), want.split("\n")) if g != w][:5] == []
+    assert got == want
+
+
+def test_g12_fields_match_per_value_format():
+    # each field of 2e5 seeded floats, the edge cases and the README bound
+    # report's slack values is the bytes of "%.12g" % v
+    rng = np.random.default_rng(20260)
+    slack = audit_bound(rv_scheme(101), (1.0, 10.0), (1.0, 10.0), 0.01, 0.1).slack
+    v = np.concatenate([_g12_values(rng, 200_000), G12_EDGES, slack.ravel()])
+    lines = np.pad(_g12_fields(v), ((0, 0), (0, 1)), constant_values=ord("\n"))
+    got = lines.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+    want = [b"%.12g" % x for x in v.tolist()]
+    assert len(got) == len(want)
+    assert [(x, g, w) for x, g, w in zip(v.tolist(), got, want) if g != w][:5] == []
 
 
 def test_closed_stdout_exits_quietly():
@@ -320,7 +366,7 @@ def test_closed_stdout_exits_quietly():
 
 
 def test_bound_memory_stays_below_the_report_rows(tmp_path):
-    # the CSV is written one grid row at a time: at step 0.04 (51,076 rows)
+    # the CSV is written a block of grid rows at a time: at step 0.04 (51,076 rows)
     # the whole report as one string, with its row tuples, peaked at 10 MiB;
     # each float array of the grid takes 0.4 MiB
     out = tmp_path / "b.csv"
