@@ -9,11 +9,15 @@ functions vanishing at the support endpoints the rule converges faster than
 any power of the step; the documented O(step^2) rate is the floor attained by
 merely piecewise-smooth inputs.
 
-``ft_at`` evaluates the n-point trapezoid sum at arbitrary xi (scalar,
-uniform or not) through ``phase_ladder``, the one builder of factored phase
-tables, which the witness's tail sweep shares: per block of 1024 xi one
-ladder and one complex GEMM, no phase block larger than 1024 x
-ceil(sqrt(n)), and the direct n-term phase sum to the ladder's rounding.
+``ft_at`` evaluates the trapezoid sum at arbitrary xi (scalar, uniform or
+not, of any shape) through ``phase_ladder``, the one builder of factored
+phase tables, which the witness's tail sweep shares.  It sums over the span
+of nonzero samples only, n' of the n points, with the ladder started at the
+first of them, and takes the moment's i^m out of the sum, so real samples
+cost one real GEMM per block of 1024 xi, half the flops of a complex one
+(complex samples: the same GEMM on their real and imaginary parts).  No
+phase block is larger than 1024 x ceil(sqrt(n')), and the result is the
+direct n-term phase sum to the ladder's rounding.
 ``ft_grid`` computes the same trapezoid sum on the FFT's uniform
 frequencies: the two end samples are halved before a zero-padded FFT, and
 one phase e^{-2 pi i xi x0} per frequency moves the sum to the window.  It
@@ -106,11 +110,15 @@ def trapezoid_weights(n: int, step: float) -> np.ndarray:
     return w
 
 
-def _moment_samples(f: SampledFunction, m: int) -> np.ndarray:
+def _require_order(m: int) -> None:
     if not 0 <= m <= MAX_FT_DERIVATIVE:
         raise UnsupportedOrderError(
             f"moment order {m} outside [0, {MAX_FT_DERIVATIVE}]"
         )
+
+
+def _moment_samples(f: SampledFunction, m: int) -> np.ndarray:
+    _require_order(m)
     g = f.samples.astype(complex)
     if m:
         g = g * (-2j * np.pi * f.grid) ** m
@@ -143,27 +151,47 @@ def phase_ladder(t, start: float, step: float, n: int) -> tuple[np.ndarray, np.n
 
 
 def ft_at(f: SampledFunction, xi, m: int = 0):
-    """F f^(m)(xi) by trapezoid quadrature.  xi may be a scalar or an array.
+    """F f^(m)(xi) by trapezoid quadrature.  xi may be a scalar or an array;
+    the result has xi's shape.
 
-    With phase_ladder's split k = a B + b of the n grid points
-    x_k = x0 + k h, the trapezoid sum is
+    Only the span of nonzero samples x_k = x_lo + k h, k < n, enters the
+    sum, and the moment (-2 pi i x)^m is i^m (-2 pi x)^m with i^m taken
+    out.  With phase_ladder's split k = a B + b from x_lo, the trapezoid
+    sum is
 
-        sum_a e^{-2 pi i xi (x0 + a B h)} sum_b G[a, b] e^{-2 pi i xi b h},
+        i^m sum_a e^{-2 pi i xi (x_lo + a B h)} sum_b G[a, b] e^{-2 pi i xi b h},
 
-    G being g w zero-padded to an A x B array: one ladder and one complex
-    GEMM (A x B) @ (B x block) per block of up to _XI_BLOCK frequencies.
+    G being g w (-2 pi x)^m zero-padded to an A x B array.  Real samples
+    give a real G, and the inner sums are one real GEMM of G against the
+    fine phases read as floats, (A x B) @ (B x 2 block), half the flops of
+    a complex product; complex samples take that same GEMM for their real
+    and imaginary parts at once, stacked as a 2A x B array.  One ladder
+    and one GEMM per block of up to _XI_BLOCK frequencies.  A function
+    with no nonzero sample has the transform 0.
     """
-    g = _moment_samples(f, m) * f.weights
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    out = np.empty(xi_arr.shape, dtype=complex)
-    for s in range(0, len(xi_arr), _XI_BLOCK):
-        coarse, fine = phase_ladder(xi_arr[s : s + _XI_BLOCK], f.support[0], f.step, len(g))
-        G = np.zeros((len(coarse), len(fine)), dtype=complex)
-        G.flat[: len(g)] = g
-        out[s : s + _XI_BLOCK] = np.einsum("ij,ij->j", coarse, G @ fine)
+    _require_order(m)
+    xi_arr = np.asarray(xi, dtype=float).reshape(-1)
+    out = np.zeros(xi_arr.shape, dtype=complex)
+    nonzero = np.flatnonzero(f.samples)
+    if len(nonzero):
+        span = slice(nonzero[0], nonzero[-1] + 1)
+        g = f.samples[span] * f.weights[span]
+        if m:
+            g *= (-2.0 * np.pi * f.grid[span]) ** m
+        parts = [g.real, g.imag] if np.iscomplexobj(g) else [g]
+        units = [1j ** (m + p) for p in range(len(parts))]  # i^m, then i^m i
+        for s in range(0, len(xi_arr), _XI_BLOCK):
+            coarse, fine = phase_ladder(xi_arr[s : s + _XI_BLOCK], f.grid[span.start],
+                                        f.step, len(g))
+            A, B = len(coarse), len(fine)
+            G = np.zeros((len(parts), A * B))
+            G[:, : len(g)] = parts
+            inner = (G.reshape(-1, B) @ fine.view(float)).view(complex)
+            sums = np.einsum("ij,pij->pj", coarse, inner.reshape(len(parts), A, -1))
+            out[s : s + _XI_BLOCK] = units @ sums
     if np.ndim(xi) == 0:
         return complex(out[0])
-    return out
+    return out.reshape(np.shape(xi))
 
 
 def _trapezoid_fft(g: np.ndarray, step: float, pad: int, fft):

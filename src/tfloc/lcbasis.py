@@ -109,9 +109,11 @@ def _bell_trig(atom: LocalCosineAtom, ks, xs, sine: bool):
 def atom_matrix(atoms, x, order: int = 0, coeffs=None) -> np.ndarray:
     """Derivative of order `order` of every atom at x, shape (len(x), len(atoms)).
 
-    A scalar x gives shape (len(atoms),).  With `coeffs`, the result is
-    sum_i coeffs[i] * atom_i^(order)(x), of shape x.shape, added up bell by
-    bell, so no len(x) x len(atoms) array is formed.  This is the one atom
+    The array is column-major, so each atom's values on a bell's points are
+    one contiguous slice.  A scalar x gives shape (len(atoms),).  With
+    `coeffs`, the result is sum_i coeffs[i] * atom_i^(order)(x), of shape
+    x.shape, added up bell by bell, so no len(x) x len(atoms) array is
+    formed.  This is the one atom
     evaluator.  The points are read in ascending order, as given when they
     ascend (a grid, a rule), else through one stable argsort, whose
     permutation writes each value back; each bell's points are then one
@@ -131,7 +133,7 @@ def atom_matrix(atoms, x, order: int = 0, coeffs=None) -> np.ndarray:
         perm = np.argsort(flat, kind="stable")
         flat = flat[perm]
     columns = (len(atoms),) if coeffs is None else ()
-    out = np.zeros((len(flat),) + columns)
+    out = np.zeros(columns[::-1] + (len(flat),)).T
     by_bell: dict[BellWindow, list[int]] = {}
     for i, a in enumerate(atoms):
         by_bell.setdefault(a.bell, []).append(i)
@@ -197,7 +199,10 @@ def build_basis(w: WhitneyDecomposition, eta: float) -> LocalCosineBasis:
 
 
 def gram_check(atoms: list[LocalCosineAtom], n: int = DEFAULT_GRID) -> float:
-    """max |<Phi_a, Phi_b> - delta_ab| over the quadrature Gram matrix."""
+    """max |<Phi_a, Phi_b> - delta_ab| over the quadrature Gram matrix.
+
+    The atom columns are weighted in place, so one (n + 1) x len(atoms)
+    array is held."""
     if not atoms:
         raise DegenerateInputError("gram_check needs at least one atom")
     if n < 1:
@@ -207,7 +212,8 @@ def gram_check(atoms: list[LocalCosineAtom], n: int = DEFAULT_GRID) -> float:
         raise DomainError("all atoms must share one decomposition domain")
     x = np.linspace(domain[0], domain[1], n + 1)
     w = trapezoid_weights(n + 1, (domain[1] - domain[0]) / n)
-    cols = atom_matrix(atoms, x) * np.sqrt(w)[:, None]
+    cols = atom_matrix(atoms, x)
+    cols *= np.sqrt(w)[:, None]
     gram = cols.T @ cols
     return float(np.max(np.abs(gram - np.eye(len(atoms)))))
 

@@ -193,11 +193,15 @@ def audit_bound(
     n1 = counting_function(scheme.lambda_nodes, R1)
     n2 = counting_function(scheme.m_nodes, R2)
     np.add(n1[:, None], n2[None, :], out=slack)
-    slack -= 4.0 * np.outer(R1, R2)
+    area = np.outer(R1, R2)
+    area *= 4.0
+    slack -= area
     i, j = np.unravel_index(np.argmin(slack), slack.shape)
+    # only a cell in deficit (slack < 0) has -slack / log^(2+eps) above C_fit's 0 floor
+    deficit = slack < 0.0
     with np.errstate(over="ignore"):  # saturates to inf, as whitney._log_power does
-        logs = np.log(4.0 * np.outer(R1, R2)) ** (2.0 + eps)
-    C_fit = float(max(0.0, np.max(-slack / logs)))
+        logs = np.log(area[deficit]) ** (2.0 + eps)
+    C_fit = float(np.max(-slack[deficit] / logs, initial=0.0))
     return BoundAudit(
         R1=R1,
         R2=R2,

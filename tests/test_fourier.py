@@ -147,6 +147,69 @@ def test_ft_at_high_phase_counts(m):
     assert np.max(np.abs(ft_at(f, xi, m=m) - want)) <= KERNEL_REL_TOL * scale
 
 
+def test_ft_at_zero_function_is_exact_zero():
+    # no nonzero sample, so no span to sum over: the transform is 0.0, and
+    # the order is still checked first
+    f = SampledFunction((-1.0, 1.0), 2.0 / 63, np.zeros(64))
+    xi = np.array([-3.0, 0.0, 0.25, 7.0])
+    for m in range(MAX_FT_DERIVATIVE + 1):
+        got = ft_at(f, xi, m=m)
+        assert got.dtype == complex and np.array_equal(got, np.zeros(4))
+        assert ft_at(f, 0.5, m=m) == 0j
+    with pytest.raises(UnsupportedOrderError):
+        ft_at(f, xi, m=MAX_FT_DERIVATIVE + 1)
+
+
+@pytest.mark.parametrize("at", [1, -2])
+def test_ft_at_single_nonzero_sample(at):
+    # a lone sample, next to either end of the window (an end sample alone
+    # would be its own peak), is a span of one point: one coarse and one
+    # fine phase
+    n = 1025
+    s = np.zeros(n)
+    s[at] = -1.75
+    f = SampledFunction((-16.0, 16.0), 32.0 / (n - 1), s)
+    xi = np.array([-100.0, -0.37, 0.0, 1.0 / 3.0, 63.1])
+    for m in range(MAX_FT_DERIVATIVE + 1):
+        want, scale = _direct_ft(f, xi, m)
+        assert np.max(np.abs(ft_at(f, xi, m=m) - want)) <= KERNEL_REL_TOL * scale
+
+
+def test_ft_at_keeps_interior_zero_runs():
+    # the span runs from the first to the last nonzero sample; the zero run
+    # inside it keeps its place in the ladder
+    f = _random_on_32(1025)
+    s = f.samples.copy()
+    s[:100] = s[400:700] = s[1000:] = 0.0
+    f = SampledFunction(f.support, f.step, s)
+    xi = np.array([-100.0, -57.3, -1.0 / 3.0, 0.0, 0.37, 7.25, 100.0])
+    for m in range(MAX_FT_DERIVATIVE + 1):
+        want, scale = _direct_ft(f, xi, m)
+        assert np.max(np.abs(ft_at(f, xi, m=m) - want)) <= KERNEL_REL_TOL * scale
+
+
+def test_ft_at_real_samples_match_complex_cast():
+    # real samples take one real GEMM, complex ones two stacked parts: the
+    # same atom through both paths agrees to 1e-13 of sum |g w|
+    f = build_basis(whitney_decompose(32.0), 0.3).atom(4, 3).to_sampled(1 << 14)
+    fc = SampledFunction(f.support, f.step, f.samples.astype(complex))
+    xi = np.concatenate([-np.geomspace(0.6, 100.0, 40), np.geomspace(0.6, 100.0, 40)])
+    for m in range(MAX_FT_DERIVATIVE + 1):
+        _, scale = _direct_ft(f, xi, m)
+        assert np.max(np.abs(ft_at(f, xi, m=m) - ft_at(fc, xi, m=m))) <= 1e-13 * scale
+    with pytest.raises(UnsupportedOrderError):
+        ft_at(f, xi, m=MAX_FT_DERIVATIVE + 1)
+
+
+def test_ft_at_keeps_the_shape_of_xi():
+    f = _random_on_32(1025)
+    xi = np.array([[-7.5, 0.0], [0.37, 63.1]])
+    for m in (0, 2):
+        got = ft_at(f, xi, m=m)
+        assert got.shape == (2, 2)
+        assert np.array_equal(got, ft_at(f, xi.ravel(), m=m).reshape(2, 2))
+
+
 @pytest.mark.parametrize("pad", [8, 16])
 @pytest.mark.parametrize("eta", [0.3, 0.5])
 def test_ft_abs_half_matches_ft_grid(eta, pad):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,24 @@ def test_gram_stays_tiny_under_coarser_quadrature():
     # orthonormality is structural, not a quadrature accident
     assert gram_check(atoms, n=1 << 12) < GRAM_TOL
     assert gram_check(atoms, n=1 << 14) < GRAM_TOL
+
+
+def test_gram_holds_one_column_array():
+    # atom_matrix writes its columns column-major and gram_check weights them
+    # in place, so the (n + 1) x count array exists once: a weighted copy
+    # made the peak twice its size
+    atoms = _basis().first_atoms(50)
+    n = 1 << 14
+    x = np.linspace(-16.0, 16.0, n + 1)
+    assert atom_matrix(atoms, x).flags.f_contiguous
+    gram_check(atoms, n=n)
+    tracemalloc.start()
+    try:
+        gram_check(atoms, n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (n + 1) * len(atoms) * 8
 
 
 def test_atom_unit_norms():

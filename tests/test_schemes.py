@@ -123,6 +123,29 @@ def test_audit_doubled_nodes_shift_slack_exactly():
     assert np.array_equal(a2.slack, want)
 
 
+def _full_grid_c_fit(audit, eps):
+    logs = np.log(4.0 * np.outer(audit.R1, audit.R2)) ** (2.0 + eps)
+    return float(max(0.0, np.max(-audit.slack / logs)))
+
+
+def test_audit_c_fit_matches_the_full_grid_formula():
+    # C_fit is taken over the deficit cells alone; every other cell's
+    # -slack / log^(2+eps) is <= 0, below the floor, so the full-grid max is
+    # the same float: on the README grid (811,801 cells) and, with no cell
+    # in deficit, exactly 0.0
+    audit = audit_bound(rv_scheme(101), (1.0, 10.0), (1.0, 10.0), 0.01, 0.1)
+    assert audit.slack.shape == (901, 901) and (audit.slack < 0.0).any()
+    assert audit.C_fit > 0.0
+    assert audit.C_fit.hex() == _full_grid_c_fit(audit, 0.1).hex()
+    s = rv_scheme(9)
+    doubled = InterpolationScheme(
+        lambda_nodes=np.concatenate([s.lambda_nodes] * 2),
+        m_nodes=np.concatenate([s.m_nodes] * 2), L=s.L)
+    audit = audit_bound(doubled, (1.0, 2.5), (1.0, 2.5), 0.1, 0.1)
+    assert audit.min_slack >= 0.0
+    assert audit.C_fit.hex() == _full_grid_c_fit(audit, 0.1).hex() == (0.0).hex()
+
+
 def test_audit_extent_and_domain_errors():
     s = rv_scheme(4)
     with pytest.raises(ExtentError):
